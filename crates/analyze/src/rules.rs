@@ -293,7 +293,7 @@ fn panic_free_library(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
 }
 
 /// True for functions that decode untrusted binary formats: the
-/// `from_bytes` loaders of RLC2/ETC1/RSH1 and the `from_binary_*` RLG1
+/// `from_bytes` loaders of RLC3/ETC1/RSH1 and the `from_binary_*` RLG1
 /// loader. Both untrusted-length rules run only inside these.
 fn is_decode_fn(name: &str) -> bool {
     name == "from_bytes" || name.starts_with("from_binary")

@@ -343,7 +343,7 @@ impl ReachabilityEngine for EtcEngine<'_> {
     ) -> Vec<Result<bool, QueryError>> {
         let resolved = self
             .resolved_last_mr(prepared)
-            .map(|last_mr| last_mr.map(|mr| move |v, t| self.etc.query_mr(v, t, mr)));
+            .map(|last_mr| last_mr.map(|mr| move |t| move |v| self.etc.query_mr(v, t, mr)));
         evaluate_blocks_grouped_with(self.graph, pairs, prepared.constraint().blocks(), resolved)
     }
 

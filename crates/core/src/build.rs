@@ -51,10 +51,18 @@
 //! sequential result for any thread count and block size. (Builds that hit a
 //! wall-clock budget are the exception: where the budget lands depends on
 //! timing in either mode.)
+//!
+//! # Staging and packing
+//!
+//! Both modes append entries to [`Staging`], this module's private
+//! nested-list form of the index — hubs arrive in access-id order, so every
+//! list is append-only — and probe it for PR1. After the last root,
+//! [`build_index`] packs the lists once into the CSR layout of
+//! [`RlcIndex`]; nothing outside this module sees the staging form.
 
 use crate::catalog::{MrCatalog, MrId};
 use crate::index::{IndexEntry, RlcIndex};
-use crate::order::{compute_order, OrderingStrategy};
+use crate::order::{compute_order, OrderingStrategy, VertexOrder};
 use crate::repeats::minimum_repeat_len;
 use rayon::prelude::*;
 use rlc_graph::{Label, LabeledGraph, VertexId};
@@ -214,13 +222,25 @@ pub struct BuildStats {
 /// Builds the RLC index of `graph` under `config`, returning the index and
 /// the build statistics.
 pub fn build_index(graph: &LabeledGraph, config: &BuildConfig) -> (RlcIndex, BuildStats) {
-    assert!(config.k >= 1, "recursive k must be at least 1");
     let started = Instant::now();
+    let (staging, mut stats) = build_staging(graph, config, started);
+    let index = staging.pack(config.k);
+    stats.duration = started.elapsed();
+    (index, stats)
+}
+
+/// Runs Algorithm 2 and returns the staged entry lists, unpacked.
+fn build_staging(
+    graph: &LabeledGraph,
+    config: &BuildConfig,
+    started: Instant,
+) -> (Staging, BuildStats) {
+    assert!(config.k >= 1, "recursive k must be at least 1");
     let order = compute_order(graph, config.ordering);
     let mut builder = Builder {
         graph,
         config: *config,
-        index: RlcIndex::empty(config.k, order),
+        staging: Staging::new(order),
         stats: BuildStats::default(),
         scratch: Scratch::new(graph.vertex_count(), config.k),
         deadline: config.time_budget.map(|b| started + b),
@@ -230,8 +250,92 @@ pub fn build_index(graph: &LabeledGraph, config: &BuildConfig) -> (RlcIndex, Bui
     } else {
         builder.run();
     }
-    builder.stats.duration = started.elapsed();
-    (builder.index, builder.stats)
+    (builder.staging, builder.stats)
+}
+
+/// The builder's staging form of the index: per-vertex append-only entry
+/// lists ordered by hub access id (roots are processed in that order), plus
+/// the catalog being interned. Packed into an [`RlcIndex`] once, by
+/// [`Staging::pack`].
+struct Staging {
+    order: VertexOrder,
+    catalog: MrCatalog,
+    lin: Vec<Vec<IndexEntry>>,
+    lout: Vec<Vec<IndexEntry>>,
+}
+
+impl Staging {
+    fn new(order: VertexOrder) -> Self {
+        let n = order.len();
+        Staging {
+            order,
+            catalog: MrCatalog::new(),
+            lin: vec![Vec::new(); n],
+            lout: vec![Vec::new(); n],
+        }
+    }
+
+    /// The PR1 probe: whether `(s, t, mr+)` is answerable from the entries
+    /// staged so far (Algorithm 1 over lists in hub access-id order).
+    fn query_interned(&self, s: VertexId, t: VertexId, mr: MrId) -> bool {
+        let lout_s = &self.lout[s as usize];
+        let lin_t = &self.lin[t as usize];
+        // Case 2 of Definition 4: direct entries.
+        if lout_s.iter().any(|e| e.hub == t && e.mr == mr) {
+            return true;
+        }
+        if lin_t.iter().any(|e| e.hub == s && e.mr == mr) {
+            return true;
+        }
+        // Case 1: merge join on hub access id.
+        let mut i = 0;
+        let mut j = 0;
+        while i < lout_s.len() && j < lin_t.len() {
+            let ai = self.order.aid(lout_s[i].hub);
+            let bj = self.order.aid(lin_t[j].hub);
+            if ai < bj {
+                i += 1;
+            } else if ai > bj {
+                j += 1;
+            } else {
+                // Runs of entries sharing this hub on both sides.
+                let hub = lout_s[i].hub;
+                let i_start = i;
+                while i < lout_s.len() && lout_s[i].hub == hub {
+                    i += 1;
+                }
+                let j_start = j;
+                while j < lin_t.len() && lin_t[j].hub == hub {
+                    j += 1;
+                }
+                let left = lout_s[i_start..i].iter().any(|e| e.mr == mr);
+                if left {
+                    let right = lin_t[j_start..j].iter().any(|e| e.mr == mr);
+                    if right {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// [`Staging::query_interned`] for a minimum repeat given as labels.
+    /// Parallel build workers call this against the lists frozen at the
+    /// block boundary (a plain shared borrow: the block-parallel build never
+    /// mutates them while workers hold it).
+    fn answerable(&self, s: VertexId, t: VertexId, mr: &[Label]) -> bool {
+        match self.catalog.resolve(mr) {
+            None => false,
+            Some(id) => self.query_interned(s, t, id),
+        }
+    }
+
+    /// Packs the staged lists into the index proper. Rows are consumed one
+    /// by one, so each list is freed as soon as it is packed.
+    fn pack(self, k: usize) -> RlcIndex {
+        RlcIndex::from_rows(k, self.order, self.catalog, self.lout, self.lin)
+    }
 }
 
 impl RlcIndex {
@@ -364,7 +468,7 @@ impl Drop for PooledScratch<'_> {
 struct Builder<'g> {
     graph: &'g LabeledGraph,
     config: BuildConfig,
-    index: RlcIndex,
+    staging: Staging,
     stats: BuildStats,
     scratch: Scratch,
     deadline: Option<Instant>,
@@ -372,7 +476,7 @@ struct Builder<'g> {
 
 impl<'g> Builder<'g> {
     fn run(&mut self) {
-        let sequence = self.index.order.sequence.clone();
+        let sequence = self.staging.order.sequence.clone();
         for root in sequence {
             if self.budget_exhausted() {
                 self.stats.timed_out = true;
@@ -408,7 +512,7 @@ impl<'g> Builder<'g> {
         // re-allocate a |V| * k table per thread per block. At most `threads`
         // scratches ever exist; the epoch stamps make reuse free.
         let scratch_pool: std::sync::Mutex<Vec<Scratch>> = std::sync::Mutex::new(Vec::new());
-        let order = self.index.order.clone();
+        let order = self.staging.order.clone();
         'blocks: for block in order.blocks(block_size) {
             if self.budget_exhausted() {
                 self.stats.timed_out = true;
@@ -425,7 +529,7 @@ impl<'g> Builder<'g> {
                 // The block's workers share the index frozen at the block
                 // boundary; the merge below is the only writer and runs
                 // strictly after this borrow ends.
-                let snapshot = &self.index;
+                let snapshot = &self.staging;
                 let vertices = graph.vertex_count();
                 pool.install(|| {
                     block
@@ -714,7 +818,7 @@ impl<'g> Builder<'g> {
         // PR2: only roots with access id no larger than the visited vertex
         // record entries there; later roots rely on the earlier vertex's own
         // searches.
-        if self.config.use_pr2 && self.index.order.aid(root) > self.index.order.aid(visited) {
+        if self.config.use_pr2 && self.staging.order.aid(root) > self.staging.order.aid(visited) {
             self.stats.pruned_pr2 += 1;
             return InsertOutcome::PrunedPr2;
         }
@@ -722,13 +826,13 @@ impl<'g> Builder<'g> {
             Direction::Backward => (visited, root),
             Direction::Forward => (root, visited),
         };
-        let resolved = self.index.catalog.resolve(mr);
+        let resolved = self.staging.catalog.resolve(mr);
         if let Some(mr_id) = resolved {
             // Exact-duplicate check: the current root's entries sit at the
             // tail of the list, so only the tail needs scanning.
             let list = match dir {
-                Direction::Backward => &self.index.lout[visited as usize],
-                Direction::Forward => &self.index.lin[visited as usize],
+                Direction::Backward => &self.staging.lout[visited as usize],
+                Direction::Forward => &self.staging.lin[visited as usize],
             };
             let duplicate = list
                 .iter()
@@ -740,19 +844,21 @@ impl<'g> Builder<'g> {
                 return InsertOutcome::AlreadyPresent;
             }
             // PR1: skip entries already answerable from the current snapshot.
-            if self.config.use_pr1 && self.index.query_interned(s, t, mr_id) {
+            if self.config.use_pr1 && self.staging.query_interned(s, t, mr_id) {
                 self.stats.pruned_pr1 += 1;
                 return InsertOutcome::PrunedPr1;
             }
         }
-        let mr_id = resolved.unwrap_or_else(|| self.index.catalog.intern(mr));
+        let mr_id = resolved.unwrap_or_else(|| self.staging.catalog.intern(mr));
         let entry = IndexEntry {
             hub: root,
             mr: mr_id,
         };
+        // Roots run in access-id order, so appending keeps every list
+        // sorted by hub access id, as the PR1 probe requires.
         match dir {
-            Direction::Backward => self.index.push_lout(visited, entry),
-            Direction::Forward => self.index.push_lin(visited, entry),
+            Direction::Backward => self.staging.lout[visited as usize].push(entry),
+            Direction::Forward => self.staging.lin[visited as usize].push(entry),
         }
         self.stats.inserted += 1;
         InsertOutcome::Inserted
@@ -802,7 +908,7 @@ struct RootRecord {
 struct Explorer<'a> {
     graph: &'a LabeledGraph,
     config: &'a BuildConfig,
-    snapshot: &'a RlcIndex,
+    snapshot: &'a Staging,
     scratch: &'a mut Scratch,
     catalog: MrCatalog,
     /// `(visited, local mr, is-forward)` facts this root has speculatively
@@ -818,7 +924,7 @@ struct Explorer<'a> {
 fn explore_root(
     graph: &LabeledGraph,
     config: &BuildConfig,
-    snapshot: &RlcIndex,
+    snapshot: &Staging,
     deadline: Option<Instant>,
     scratch: &mut Scratch,
     root: VertexId,
@@ -870,7 +976,7 @@ impl<'a> Explorer<'a> {
         mr: MrId,
         dir: Direction,
     ) -> bool {
-        let order = self.snapshot.order();
+        let order = &self.snapshot.order;
         if self.config.use_pr2 && order.aid(root) > order.aid(visited) {
             return true;
         }
@@ -1182,6 +1288,72 @@ mod tests {
             stats.inserted + stats.pruned_pr1 + stats.pruned_pr2 + stats.duplicates
         );
         assert!(!stats.timed_out);
+    }
+
+    #[test]
+    fn packed_index_answers_and_lists_exactly_what_was_staged() {
+        // The pack must change the representation and nothing else: on
+        // seeded small graphs (≤ 8 vertices, ≤ 3 labels, k ≤ 3, every
+        // ordering, pruned and unpruned) the packed index answers every
+        // (s, t, mr) like the PR1 probe over the lists it was packed from,
+        // and its row views list exactly the staged entries.
+        let by_key = |e: &IndexEntry| (e.mr, e.hub);
+        for seed in 0..24u64 {
+            let n = 2 + (seed % 7) as usize;
+            let labels = 1 + (seed % 3) as usize;
+            let g = rlc_graph::generate::erdos_renyi(&rlc_graph::generate::SyntheticConfig::new(
+                n, 2.0, labels, seed,
+            ));
+            for ordering in [
+                OrderingStrategy::InOutDegree,
+                OrderingStrategy::OutDegree,
+                OrderingStrategy::InDegree,
+                OrderingStrategy::TotalDegree,
+                OrderingStrategy::VertexId,
+                OrderingStrategy::Random(seed),
+            ] {
+                let pruned = BuildConfig::new(1 + (seed % 3) as usize).with_ordering(ordering);
+                for config in [pruned, pruned.without_pruning()] {
+                    let (staging, _) = build_staging(&g, &config, Instant::now());
+                    let mrs: Vec<MrId> = staging.catalog.iter().map(|(id, _)| id).collect();
+                    let mut triples = Vec::new();
+                    for s in g.vertices() {
+                        for t in g.vertices() {
+                            triples.extend(mrs.iter().map(|&mr| (s, t, mr)));
+                        }
+                    }
+                    let staged_answers: Vec<bool> = triples
+                        .iter()
+                        .map(|&(s, t, mr)| staging.query_interned(s, t, mr))
+                        .collect();
+                    let sorted = |rows: &[Vec<IndexEntry>]| -> Vec<Vec<IndexEntry>> {
+                        rows.iter()
+                            .map(|row| {
+                                let mut row = row.clone();
+                                row.sort_by_key(by_key);
+                                row
+                            })
+                            .collect()
+                    };
+                    let (staged_lout, staged_lin) = (sorted(&staging.lout), sorted(&staging.lin));
+                    let index = staging.pack(config.k);
+                    let packed_answers: Vec<bool> = triples
+                        .iter()
+                        .map(|&(s, t, mr)| index.query_interned(s, t, mr))
+                        .collect();
+                    assert_eq!(packed_answers, staged_answers, "seed {seed}, {config:?}");
+                    for v in g.vertices() {
+                        let listed = |row: crate::index::EntryRow<'_>| {
+                            let mut row: Vec<IndexEntry> = row.iter().collect();
+                            row.sort_by_key(by_key);
+                            row
+                        };
+                        assert_eq!(listed(index.lout(v)), staged_lout[v as usize]);
+                        assert_eq!(listed(index.lin(v)), staged_lin[v as usize]);
+                    }
+                }
+            }
+        }
     }
 
     /// Serialized bytes plus stats with the timing-dependent field zeroed,

@@ -397,10 +397,10 @@ static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
 /// of silently naming the wrong minimum repeat.
 ///
 /// Generations are a process-local concept and are **never serialized**:
-/// the `RLC2`/`ETC1` wire formats do not carry them, and every
-/// deserialization path (`from_bytes`, serde `Deserialize`) mints a fresh
-/// stamp. A `Clone`d index copies the stamp — clones share content, so
-/// artifacts resolved against one are valid against the other.
+/// the `RLC3`/`ETC1` wire formats do not carry them, and every
+/// `from_bytes` mints a fresh stamp. A `Clone`d index copies the stamp —
+/// clones share content, so artifacts resolved against one are valid
+/// against the other.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Generation(u64);
 
@@ -437,14 +437,6 @@ impl Generation {
         }
         count.hash(&mut hasher);
         Generation(hasher.finish())
-    }
-}
-
-impl Default for Generation {
-    /// Minting on `Default` is what makes `#[serde(skip)]` fields get a
-    /// fresh generation when an index is deserialized.
-    fn default() -> Self {
-        Generation::fresh()
     }
 }
 
@@ -598,8 +590,14 @@ fn evaluate_hybrid_engine_group(
     pairs: &[(VertexId, VertexId)],
     prepared: &Prepared,
 ) -> Vec<Result<bool, QueryError>> {
-    let resolved = hybrid_last_mr(engine, index, prepared)
-        .map(|last_mr| last_mr.map(|mr| move |v, t| index.query_interned(v, t, mr)));
+    let resolved = hybrid_last_mr(engine, index, prepared).map(|last_mr| {
+        last_mr.map(|mr| {
+            move |t| {
+                let probe = index.target_probe(t, mr);
+                move |v| probe.reached_from(v)
+            }
+        })
+    });
     evaluate_blocks_grouped_with(graph, pairs, prepared.constraint().blocks(), resolved)
 }
 
@@ -967,9 +965,22 @@ mod tests {
         // Index A: catalog = [(y)], so the constraint y+ resolves to MrId 0.
         let order =
             crate::order::compute_order(&graph, crate::order::OrderingStrategy::InOutDegree);
-        let mut index_a = RlcIndex::empty(2, order.clone());
-        let mr_a = index_a.catalog.intern(&[y]);
-        index_a.push_lin(b, crate::index::IndexEntry { hub: a, mr: mr_a });
+        // An index over one catalog sequence whose only entry is (a, mr 0)
+        // in Lin(b).
+        let lin_of_b_only = |order: crate::order::VertexOrder, label: rlc_graph::Label| {
+            let mut catalog = crate::catalog::MrCatalog::new();
+            let mr = catalog.intern(&[label]);
+            let entry = crate::index::IndexEntry { hub: a, mr };
+            let index = RlcIndex::from_rows(
+                2,
+                order,
+                catalog,
+                graph.vertices().map(|_| None),
+                graph.vertices().map(|v| (v == b).then_some(entry)),
+            );
+            (index, mr)
+        };
+        let (index_a, mr_a) = lin_of_b_only(order.clone(), y);
         let constraint = Constraint::single(vec![y]).unwrap();
         let generation_a = index_a.generation();
         let stale_mr = {
@@ -985,9 +996,8 @@ mod tests {
 
         // Index B: identical k and catalog size, but MrId 0 now names (x),
         // and (a, b) is connected under x+, not y+.
-        let mut index_b = RlcIndex::empty(2, order);
-        let mr_b = index_b.catalog.intern(&[x]);
-        index_b.push_lin(b, crate::index::IndexEntry { hub: a, mr: mr_b });
+        let (index_b, mr_b) = lin_of_b_only(order, x);
+        assert_eq!(mr_b, mr_a);
         let engine_b = IndexEngine::new(&graph, &index_b);
 
         // Forge the exact stale artifact the old scheme could not detect:

@@ -31,6 +31,10 @@ pub fn evaluate_blocks_with(
     blocks: &[Vec<Label>],
     last_block_reaches: impl Fn(VertexId) -> bool,
 ) -> bool {
+    if blocks.len() == 1 {
+        // No prefix to close over: the frontier is the source itself.
+        return last_block_reaches(source);
+    }
     prefix_frontier(graph, source, blocks)
         .iter()
         .any(|&v| last_block_reaches(v))
@@ -55,9 +59,9 @@ pub(crate) fn evaluate_hybrid_prepared(
     let Some(mr_id) = last_mr else {
         return false;
     };
-    evaluate_blocks_with(graph, source, blocks, |v| {
-        index.query_interned(v, target, mr_id)
-    })
+    // Lin(target)'s run is resolved once, not once per frontier vertex.
+    let probe = index.target_probe(target, mr_id);
+    evaluate_blocks_with(graph, source, blocks, |v| probe.reached_from(v))
 }
 
 /// Grouped evaluation over pre-validated blocks, shared by every engine
@@ -70,61 +74,60 @@ pub(crate) fn evaluate_hybrid_prepared(
 /// an error makes every in-range pair report it (the constraint is invalid
 /// for the engine), `Ok(None)` means the block is absent from the engine's
 /// catalog (no path can satisfy the constraint — every in-range pair is
-/// `false`), and `Ok(Some(lookup))` supplies the pair predicate. Pairs are
+/// `false`), and `Ok(Some(probe_for))` supplies the lookup in two stages:
+/// `probe_for(target)` resolves whatever depends on the target alone, and
+/// the predicate it returns answers one frontier vertex. Pairs are
 /// range-checked first, exactly like the per-pair paths, so an out-of-range
 /// pair reports `VertexOutOfRange` even when the constraint is also
 /// invalid. For multi-block constraints the prefix-block repetition closure
 /// is computed **once per distinct source** ([`prefix_frontier`]) and
 /// shared by every pair of the group with that source; single-block
-/// constraints stay per-pair lookups.
-pub fn evaluate_blocks_grouped_with<F>(
+/// constraints are per-pair lookups in a plain loop, with no grouping.
+pub fn evaluate_blocks_grouped_with<F, P>(
     graph: &LabeledGraph,
     pairs: &[(VertexId, VertexId)],
     blocks: &[Vec<Label>],
     resolved: Result<Option<F>, crate::query::QueryError>,
 ) -> Vec<Result<bool, crate::query::QueryError>>
 where
-    F: Fn(VertexId, VertexId) -> bool,
+    F: Fn(VertexId) -> P,
+    P: Fn(VertexId) -> bool,
 {
+    let in_range = |&(s, t): &(VertexId, VertexId)| {
+        crate::engine::check_vertex_range(s, t, graph.vertex_count())
+    };
+    let probe_for = match resolved {
+        Ok(Some(probe_for)) => probe_for,
+        Ok(None) => return pairs.iter().map(|p| in_range(p).map(|()| false)).collect(),
+        Err(error) => {
+            return pairs
+                .iter()
+                .map(|p| in_range(p).and(Err(error.clone())))
+                .collect()
+        }
+    };
+    if blocks.len() == 1 {
+        return pairs
+            .iter()
+            .map(|p| in_range(p).map(|()| probe_for(p.1)(p.0)))
+            .collect();
+    }
     let mut answers: Vec<Result<bool, crate::query::QueryError>> = Vec::with_capacity(pairs.len());
     let mut by_source: std::collections::HashMap<VertexId, Vec<usize>> =
         std::collections::HashMap::new();
-    for (i, &(s, t)) in pairs.iter().enumerate() {
-        match crate::engine::check_vertex_range(s, t, graph.vertex_count()) {
-            Ok(()) => {
-                answers.push(Ok(false));
-                by_source.entry(s).or_default().push(i);
-            }
-            Err(error) => answers.push(Err(error)),
+    for (i, pair) in pairs.iter().enumerate() {
+        answers.push(in_range(pair).map(|()| false));
+        if answers[i].is_ok() {
+            by_source.entry(pair.0).or_default().push(i);
         }
     }
-    let lookup = match resolved {
-        Ok(lookup) => lookup,
-        Err(error) => {
-            for indices in by_source.values() {
-                for &i in indices {
-                    answers[i] = Err(error.clone());
-                }
-            }
-            return answers;
-        }
-    };
-    let Some(lookup) = lookup else {
-        return answers;
-    };
     for (source, indices) in by_source {
-        if blocks.len() == 1 {
-            for &i in &indices {
-                answers[i] = Ok(lookup(source, pairs[i].1));
-            }
-        } else {
-            // One repetition-closure pass over the prefix blocks serves
-            // every target sharing this source.
-            let frontier = prefix_frontier(graph, source, blocks);
-            for &i in &indices {
-                let target = pairs[i].1;
-                answers[i] = Ok(frontier.iter().any(|&v| lookup(v, target)));
-            }
+        // One repetition-closure pass over the prefix blocks serves every
+        // target sharing this source.
+        let frontier = prefix_frontier(graph, source, blocks);
+        for i in indices {
+            let reaches = probe_for(pairs[i].1);
+            answers[i] = Ok(frontier.iter().any(|&v| reaches(v)));
         }
     }
     answers

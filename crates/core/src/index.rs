@@ -7,8 +7,19 @@
 //!
 //! A query `(s, t, L+)` is true iff `(t, L) ∈ Lout(s)`, `(s, L) ∈ Lin(t)`, or
 //! some hub `x` has `(x, L) ∈ Lout(s)` and `(x, L) ∈ Lin(t)` (Definition 4).
-//! Entries are kept ordered by the hub's *access id* so the third case is a
-//! merge join (Algorithm 1), giving `O(|Lout(s)| + |Lin(t)|)` query time.
+//!
+//! # Layout
+//!
+//! Each side is one packed CSR table ([`PackedSide`]): a `row_ptr` array of
+//! `n + 1` offsets and one contiguous array of `u64` keys
+//! `(mr << 32) | hub_rank`, where `hub_rank` is the hub's access id. Every
+//! row is sorted ascending, so the entries of one minimum repeat form a
+//! contiguous *run* ordered by hub rank, and the third case of Definition 4
+//! is a merge join over the queried MR's two runs (Algorithm 1) that
+//! compares whole keys — no per-entry access-id lookup and no entry of any
+//! other MR touched. The same four arrays are the `RLC3` on-disk format
+//! ([`RlcIndex::to_bytes`]). The builder stages entries in its own
+//! append-only form and packs once ([`RlcIndex::from_rows`]).
 
 use crate::catalog::{MrCatalog, MrId};
 use crate::engine::Generation;
@@ -41,12 +52,11 @@ pub struct IndexStats {
     pub lout_entries: usize,
     /// Number of distinct minimum repeats appearing in entries.
     pub distinct_mrs: usize,
-    /// Actual resident memory footprint in bytes (see
-    /// [`RlcIndex::memory_bytes`]).
+    /// Resident memory footprint in bytes (see [`RlcIndex::memory_bytes`]).
     pub memory_bytes: usize,
-    /// Estimated footprint of a CSR-packed deployment in bytes (see
-    /// [`RlcIndex::csr_memory_bytes`]); the figure the paper's Table IV
-    /// reports, kept separate so table reproductions stay comparable.
+    /// Footprint of the CSR-packed layout in bytes, the figure the paper's
+    /// Table IV reports. The packed layout is the only one, so this always
+    /// equals `memory_bytes`.
     pub csr_memory_bytes: usize,
     /// Largest `|Lin(v)| + |Lout(v)|` over all vertices.
     pub max_entries_per_vertex: usize,
@@ -58,45 +68,304 @@ impl IndexStats {
         self.lin_entries + self.lout_entries
     }
 
-    /// Actual resident memory footprint in mebibytes.
+    /// Resident memory footprint in mebibytes.
     pub fn memory_megabytes(&self) -> f64 {
         self.memory_bytes as f64 / (1024.0 * 1024.0)
     }
 
-    /// CSR-packed footprint estimate in mebibytes, as reported in Table IV.
+    /// CSR-packed footprint in mebibytes, as reported in Table IV.
     pub fn csr_memory_megabytes(&self) -> f64 {
         self.csr_memory_bytes as f64 / (1024.0 * 1024.0)
     }
 }
 
-/// The RLC index of a graph, built by [`crate::build::build_index`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The sort key of an entry inside its row: minimum repeat in the high half,
+/// the hub's access id in the low half.
+#[inline]
+fn pack_key(mr: MrId, hub_rank: u32) -> u64 {
+    (u64::from(mr.0) << 32) | u64::from(hub_rank)
+}
+
+#[inline]
+fn key_mr(key: u64) -> MrId {
+    MrId((key >> 32) as u32)
+}
+
+#[inline]
+fn key_rank(key: u64) -> u32 {
+    key as u32
+}
+
+/// The keys of `row` that carry `mr`: one contiguous run, because rows are
+/// sorted by key and the minimum repeat is the key's high half.
+#[inline]
+fn mr_run(row: &[u64], mr: MrId) -> &[u64] {
+    let tail = &row[row.partition_point(|&key| key_mr(key) < mr)..];
+    &tail[..tail.partition_point(|&key| key_mr(key) == mr)]
+}
+
+/// One side of the labelling — every `Lout` row or every `Lin` row — in
+/// packed CSR form.
+#[derive(Debug, Clone)]
+struct PackedSide {
+    /// `row_ptr[v]..row_ptr[v + 1]` is the key range of vertex `v`; `n + 1`
+    /// offsets, the last one equal to `keys.len()`.
+    row_ptr: Vec<u32>,
+    /// `(mr << 32) | hub_rank` per entry, strictly increasing within a row.
+    keys: Vec<u64>,
+}
+
+impl PackedSide {
+    /// Packs per-vertex entry rows given in vertex-id order.
+    fn from_rows<R>(rows: impl IntoIterator<Item = R>, order: &VertexOrder) -> Self
+    where
+        R: IntoIterator<Item = IndexEntry>,
+    {
+        let mut row_ptr = Vec::with_capacity(order.len() + 1);
+        row_ptr.push(0u32);
+        let mut keys: Vec<u64> = Vec::new();
+        for row in rows {
+            let start = keys.len();
+            keys.extend(
+                row.into_iter()
+                    .map(|entry| pack_key(entry.mr, order.aid(entry.hub))),
+            );
+            keys[start..].sort_unstable();
+            debug_assert!(
+                keys[start..].windows(2).all(|pair| pair[0] < pair[1]),
+                "a row never holds the same (hub, MR) entry twice"
+            );
+            assert!(
+                u32::try_from(keys.len()).is_ok(),
+                "one side of the index exceeds the 2^32 entries a row offset can address"
+            );
+            row_ptr.push(keys.len() as u32);
+        }
+        assert_eq!(row_ptr.len(), order.len() + 1, "one row per vertex");
+        keys.shrink_to_fit();
+        PackedSide { row_ptr, keys }
+    }
+
+    fn vertex_count(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    #[inline]
+    fn row(&self, v: usize) -> &[u64] {
+        &self.keys[self.row_ptr[v] as usize..self.row_ptr[v + 1] as usize]
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.row_ptr.capacity() * std::mem::size_of::<u32>()
+            + self.keys.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// Checks a decoded side against every invariant the query procedure
+    /// relies on; `side` names it in errors.
+    fn validate(&self, side: &str, catalog_len: usize) -> Result<(), String> {
+        let n = self.vertex_count();
+        if self.row_ptr[0] != 0
+            || self.row_ptr[n] as usize != self.keys.len()
+            || self.row_ptr.windows(2).any(|pair| pair[0] > pair[1])
+        {
+            return Err(format!(
+                "corrupt index data: {side} row offsets are not monotone from 0 to the {} \
+                 entries the side holds",
+                self.keys.len()
+            ));
+        }
+        for v in 0..n {
+            let mut previous: Option<u64> = None;
+            for &key in self.row(v) {
+                if previous >= Some(key) {
+                    return Err(format!(
+                        "corrupt index data: {side} entries of vertex {v} are not strictly \
+                         increasing by (minimum repeat, hub rank), so the merge join would \
+                         miss or double-count them"
+                    ));
+                }
+                if key_rank(key) as usize >= n {
+                    return Err(format!(
+                        "corrupt index data: {side} entry of vertex {v} has hub rank {} out of \
+                         range for {n} vertices",
+                        key_rank(key)
+                    ));
+                }
+                if key_mr(key).index() >= catalog_len {
+                    return Err(format!(
+                        "corrupt index data: {side} entry of vertex {v} references unknown \
+                         minimum repeat {}",
+                        key_mr(key).0
+                    ));
+                }
+                previous = Some(key);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A borrowed view of one `Lin(v)` or `Lout(v)` row, yielding
+/// [`IndexEntry`] values in row order: ascending minimum-repeat id, then
+/// ascending hub access id.
+#[derive(Debug, Clone, Copy)]
+pub struct EntryRow<'a> {
+    keys: &'a [u64],
+    /// The vertex order's processing sequence: hub rank → hub vertex.
+    sequence: &'a [VertexId],
+}
+
+impl<'a> EntryRow<'a> {
+    /// Number of entries in the row.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether the row has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The row's entries that carry `mr` (ascending hub access id).
+    pub fn run(&self, mr: MrId) -> EntryRow<'a> {
+        EntryRow {
+            keys: mr_run(self.keys, mr),
+            sequence: self.sequence,
+        }
+    }
+
+    /// Iterates over the entries.
+    pub fn iter(&self) -> EntryIter<'a> {
+        EntryIter {
+            keys: self.keys.iter(),
+            sequence: self.sequence,
+        }
+    }
+}
+
+impl<'a> IntoIterator for EntryRow<'a> {
+    type Item = IndexEntry;
+    type IntoIter = EntryIter<'a>;
+
+    fn into_iter(self) -> EntryIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the entries of an [`EntryRow`].
+#[derive(Debug, Clone)]
+pub struct EntryIter<'a> {
+    keys: std::slice::Iter<'a, u64>,
+    sequence: &'a [VertexId],
+}
+
+impl Iterator for EntryIter<'_> {
+    type Item = IndexEntry;
+
+    fn next(&mut self) -> Option<IndexEntry> {
+        self.keys.next().map(|&key| IndexEntry {
+            hub: self.sequence[key_rank(key) as usize],
+            mr: key_mr(key),
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.keys.size_hint()
+    }
+}
+
+impl ExactSizeIterator for EntryIter<'_> {}
+
+/// The target half of a query `(·, t, mr+)`, resolved once: `Lin(t)`'s run
+/// for the minimum repeat and the key a direct `(t, mr)` entry would have.
+/// Callers that test many sources against one target (the hybrid evaluator's
+/// frontier loop, the sharded stitcher's local fast path) build it once per
+/// query and call [`TargetProbe::reached_from`] per source.
+#[derive(Clone, Copy)]
+pub struct TargetProbe<'a> {
+    index: &'a RlcIndex,
+    lin_run: &'a [u64],
+    target_key: u64,
+}
+
+impl TargetProbe<'_> {
+    /// Whether `(s, t, mr+)` holds (Algorithm 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `s` is outside the indexed vertex range.
+    #[inline]
+    pub fn reached_from(&self, s: VertexId) -> bool {
+        let index = self.index;
+        let mr = key_mr(self.target_key);
+        let lout_run = mr_run(index.lout.row(s as usize), mr);
+        // Case 2 of Definition 4: direct entries.
+        let source_key = pack_key(mr, index.order.aid(s));
+        if lout_run.binary_search(&self.target_key).is_ok()
+            || self.lin_run.binary_search(&source_key).is_ok()
+        {
+            return true;
+        }
+        // Case 1: merge join over the two runs. Both carry the same minimum
+        // repeat, so comparing keys compares hub access ids.
+        let (mut out, mut inn) = (lout_run, self.lin_run);
+        while let (Some(a), Some(b)) = (out.first(), inn.first()) {
+            match a.cmp(b) {
+                std::cmp::Ordering::Less => out = &out[1..],
+                std::cmp::Ordering::Greater => inn = &inn[1..],
+                std::cmp::Ordering::Equal => return true,
+            }
+        }
+        false
+    }
+}
+
+/// The RLC index of a graph, built by [`crate::build::build_index`] or
+/// loaded by [`RlcIndex::from_bytes`].
+#[derive(Debug, Clone)]
 pub struct RlcIndex {
-    pub(crate) k: usize,
-    pub(crate) order: VertexOrder,
-    pub(crate) lin: Vec<Vec<IndexEntry>>,
-    pub(crate) lout: Vec<Vec<IndexEntry>>,
-    pub(crate) catalog: MrCatalog,
+    k: usize,
+    order: VertexOrder,
+    catalog: MrCatalog,
+    lout: PackedSide,
+    lin: PackedSide,
     /// Construction-time generation stamp (see [`Generation`]). Never
-    /// serialized — the `RLC2` wire format does not carry it, and `skip`
-    /// makes serde deserialization mint a fresh stamp via `Default` —
-    /// so a loaded index can never impersonate a live one. `Clone` copies
-    /// the stamp: clones share content, so artifacts resolved against one
-    /// are valid against the other.
-    #[serde(skip)]
-    pub(crate) generation: Generation,
+    /// serialized — the `RLC3` wire format does not carry it — so a loaded
+    /// index can never impersonate a live one. `Clone` copies the stamp:
+    /// clones share content, so artifacts resolved against one are valid
+    /// against the other.
+    generation: Generation,
 }
 
 impl RlcIndex {
-    /// Creates an empty index skeleton; used by the builder.
-    pub(crate) fn empty(k: usize, order: VertexOrder) -> Self {
-        let n = order.len();
+    /// Packs per-vertex entry rows (vertex-id order, entries in any order,
+    /// no `(hub, MR)` pair twice in a row) into an index. The one
+    /// constructor besides [`RlcIndex::from_bytes`]: the builder calls it
+    /// once, after its last root.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either side does not supply exactly one row per vertex
+    /// of `order`, or holds 2^32 entries or more.
+    pub(crate) fn from_rows<A, B>(
+        k: usize,
+        order: VertexOrder,
+        catalog: MrCatalog,
+        lout: impl IntoIterator<Item = A>,
+        lin: impl IntoIterator<Item = B>,
+    ) -> Self
+    where
+        A: IntoIterator<Item = IndexEntry>,
+        B: IntoIterator<Item = IndexEntry>,
+    {
+        let lout = PackedSide::from_rows(lout, &order);
+        let lin = PackedSide::from_rows(lin, &order);
         RlcIndex {
             k,
             order,
-            lin: vec![Vec::new(); n],
-            lout: vec![Vec::new(); n],
-            catalog: MrCatalog::new(),
+            catalog,
+            lout,
+            lin,
             generation: Generation::fresh(),
         }
     }
@@ -115,7 +384,7 @@ impl RlcIndex {
 
     /// Number of vertices covered by the index.
     pub fn vertex_count(&self) -> usize {
-        self.lin.len()
+        self.order.len()
     }
 
     /// The vertex processing order used to build the index.
@@ -128,14 +397,25 @@ impl RlcIndex {
         &self.catalog
     }
 
-    /// The `Lin` entries of `v`, ordered by hub access id.
-    pub fn lin(&self, v: VertexId) -> &[IndexEntry] {
-        &self.lin[v as usize]
+    fn entry_row<'a>(&'a self, side: &'a PackedSide, v: VertexId) -> EntryRow<'a> {
+        EntryRow {
+            keys: side.row(v as usize),
+            sequence: &self.order.sequence,
+        }
     }
 
-    /// The `Lout` entries of `v`, ordered by hub access id.
-    pub fn lout(&self, v: VertexId) -> &[IndexEntry] {
-        &self.lout[v as usize]
+    /// The `Lin` entries of `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `v` is outside the indexed vertex range.
+    pub fn lin(&self, v: VertexId) -> EntryRow<'_> {
+        self.entry_row(&self.lin, v)
+    }
+
+    /// The `Lout` entries of `v` (same contract as [`RlcIndex::lin`]).
+    pub fn lout(&self, v: VertexId) -> EntryRow<'_> {
+        self.entry_row(&self.lout, v)
     }
 
     /// Whether the index can answer a query with this constraint length.
@@ -181,6 +461,21 @@ impl RlcIndex {
         self.query(&query)
     }
 
+    /// Resolves the target half of `(·, t, mr+)` once, for callers that test
+    /// many sources against it (see [`TargetProbe`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t` is outside the indexed vertex range.
+    #[inline]
+    pub fn target_probe(&self, t: VertexId, mr: MrId) -> TargetProbe<'_> {
+        TargetProbe {
+            index: self,
+            lin_run: mr_run(self.lin.row(t as usize), mr),
+            target_key: pack_key(mr, self.order.aid(t)),
+        }
+    }
+
     /// Answers `(s, t, mr+)` for an already-resolved minimum repeat — the
     /// execute half of the prepare/execute split, mirroring
     /// `EtcIndex::query_mr`. The resolution against [`RlcIndex::catalog`]
@@ -190,130 +485,54 @@ impl RlcIndex {
     /// # Panics
     ///
     /// Panics when a vertex id is outside the indexed range (like
-    /// [`RlcIndex::lin`]/[`RlcIndex::lout`], this is a direct slice access);
-    /// engines range-check ids before calling.
+    /// [`RlcIndex::lin`]/[`RlcIndex::lout`]); engines range-check ids before
+    /// calling.
     pub fn query_mr(&self, s: VertexId, t: VertexId, mr: MrId) -> bool {
         self.query_interned(s, t, mr)
     }
 
-    /// Core query procedure over an interned constraint.
+    /// Core query procedure over an interned constraint: find the queried
+    /// minimum repeat's run in `Lin(t)` and in `Lout(s)`, check the two
+    /// direct keys, merge-join the runs.
+    #[inline]
     pub(crate) fn query_interned(&self, s: VertexId, t: VertexId, mr: MrId) -> bool {
-        let lout_s = &self.lout[s as usize];
-        let lin_t = &self.lin[t as usize];
-        // Case 2 of Definition 4: direct entries.
-        if lout_s.iter().any(|e| e.hub == t && e.mr == mr) {
-            return true;
-        }
-        if lin_t.iter().any(|e| e.hub == s && e.mr == mr) {
-            return true;
-        }
-        // Case 1: merge join on hub access id.
-        let mut i = 0;
-        let mut j = 0;
-        while i < lout_s.len() && j < lin_t.len() {
-            let ai = self.order.aid(lout_s[i].hub);
-            let bj = self.order.aid(lin_t[j].hub);
-            if ai < bj {
-                i += 1;
-            } else if ai > bj {
-                j += 1;
-            } else {
-                // Runs of entries sharing this hub on both sides.
-                let hub = lout_s[i].hub;
-                let i_start = i;
-                while i < lout_s.len() && lout_s[i].hub == hub {
-                    i += 1;
-                }
-                let j_start = j;
-                while j < lin_t.len() && lin_t[j].hub == hub {
-                    j += 1;
-                }
-                let left = lout_s[i_start..i].iter().any(|e| e.mr == mr);
-                if left {
-                    let right = lin_t[j_start..j].iter().any(|e| e.mr == mr);
-                    if right {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Whether `(s, t, mr+)` is already answerable from this index — the
-    /// pruning-rule-1 probe. Parallel build workers call this against a
-    /// frozen snapshot of the index (a plain shared borrow: the index is
-    /// `Sync` and the block-parallel build never mutates it while workers
-    /// hold the borrow), the sequential builder against the live index.
-    pub(crate) fn answerable(&self, s: VertexId, t: VertexId, mr: &[Label]) -> bool {
-        match self.catalog.resolve(mr) {
-            None => false,
-            Some(id) => self.query_interned(s, t, id),
-        }
-    }
-
-    /// Appends an entry to `Lin(v)`. The builder appends in access-id order
-    /// of the hub, which keeps the list sorted as Algorithm 1 requires.
-    pub(crate) fn push_lin(&mut self, v: VertexId, entry: IndexEntry) {
-        self.lin[v as usize].push(entry);
-    }
-
-    /// Appends an entry to `Lout(v)` (same ordering contract as
-    /// [`RlcIndex::push_lin`]).
-    pub(crate) fn push_lout(&mut self, v: VertexId, entry: IndexEntry) {
-        self.lout[v as usize].push(entry);
+        self.target_probe(t, mr).reached_from(s)
     }
 
     /// Total number of entries.
     pub fn entry_count(&self) -> usize {
-        self.lin.iter().map(Vec::len).sum::<usize>() + self.lout.iter().map(Vec::len).sum::<usize>()
+        self.lin.keys.len() + self.lout.keys.len()
     }
 
-    /// Actual resident heap footprint in bytes of the `Vec<Vec<IndexEntry>>`
-    /// layout in use today: per-list capacity (including slack), the two
-    /// outer vectors' per-vertex `Vec` headers, the vertex-order arrays, and
-    /// the MR catalog.
+    /// Resident heap footprint in bytes, priced exactly: the two sides' row
+    /// offsets and keys, the vertex-order arrays, and the MR catalog.
     pub fn memory_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<IndexEntry>();
-        let vec_header = std::mem::size_of::<Vec<IndexEntry>>();
-        let mut bytes = 0usize;
-        for side in [&self.lin, &self.lout] {
-            bytes += side.capacity() * vec_header;
-            bytes += side
-                .iter()
-                .map(|list| list.capacity() * entry)
-                .sum::<usize>();
-        }
-        bytes += self.order.sequence.capacity() * std::mem::size_of::<VertexId>();
-        bytes += self.order.aid.capacity() * std::mem::size_of::<u32>();
-        bytes + self.catalog.memory_bytes()
+        self.lout.memory_bytes()
+            + self.lin.memory_bytes()
+            + self.order.sequence.capacity() * std::mem::size_of::<VertexId>()
+            + self.order.aid.capacity() * std::mem::size_of::<u32>()
+            + self.catalog.memory_bytes()
     }
 
-    /// Estimated footprint of a CSR-packed deployment in bytes: 8 bytes per
-    /// entry, 16 bytes of per-vertex bookkeeping (two offset entries per
-    /// side), the access-id array, and the MR catalog. This is the figure
-    /// Table IV-style reproductions report; the actual resident footprint of
-    /// the current pointer-based layout is [`RlcIndex::memory_bytes`].
+    /// Footprint of the CSR-packed layout in bytes, the figure Table IV-style
+    /// reproductions report. The packed layout is the resident one, so this
+    /// is [`RlcIndex::memory_bytes`].
     pub fn csr_memory_bytes(&self) -> usize {
-        self.entry_count() * std::mem::size_of::<IndexEntry>()
-            + self.vertex_count() * 16
-            + self.order.aid.len() * std::mem::size_of::<u32>()
-            + self.catalog.memory_bytes()
+        self.memory_bytes()
     }
 
     /// Computes summary statistics.
     pub fn stats(&self) -> IndexStats {
-        let lin_entries = self.lin.iter().map(Vec::len).sum();
-        let lout_entries = self.lout.iter().map(Vec::len).sum();
+        let row_len = |side: &PackedSide, v: usize| side.row_ptr[v + 1] - side.row_ptr[v];
         let max_entries_per_vertex = (0..self.vertex_count())
-            .map(|v| self.lin[v].len() + self.lout[v].len())
+            .map(|v| (row_len(&self.lin, v) + row_len(&self.lout, v)) as usize)
             .max()
             .unwrap_or(0);
         IndexStats {
             k: self.k,
             vertices: self.vertex_count(),
-            lin_entries,
-            lout_entries,
+            lin_entries: self.lin.keys.len(),
+            lout_entries: self.lout.keys.len(),
             distinct_mrs: self.catalog.len(),
             memory_bytes: self.memory_bytes(),
             csr_memory_bytes: self.csr_memory_bytes(),
@@ -330,18 +549,20 @@ impl RlcIndex {
     /// exercised by the pruning ablation.
     pub fn redundant_entries(&self) -> usize {
         let mut redundant = 0;
-        for t in 0..self.vertex_count() as VertexId {
-            for entry in &self.lin[t as usize] {
-                let s = entry.hub;
-                if self.answerable_without_lin_entry(s, t, entry.mr) {
+        for v in 0..self.vertex_count() as VertexId {
+            for entry in self.lin(v) {
+                // Without (hub, mr) ∈ Lin(v): Case 2 via Lout(hub), or Case 1
+                // through any hub other than the entry's own.
+                let (s, t) = (entry.hub, v);
+                if self.holds(&self.lout, s, t, entry.mr) || self.join_hub_exists(s, t, entry.mr, s)
+                {
                     redundant += 1;
                 }
             }
-        }
-        for s in 0..self.vertex_count() as VertexId {
-            for entry in &self.lout[s as usize] {
-                let t = entry.hub;
-                if self.answerable_without_lout_entry(s, t, entry.mr) {
+            for entry in self.lout(v) {
+                let (s, t) = (v, entry.hub);
+                if self.holds(&self.lin, t, s, entry.mr) || self.join_hub_exists(s, t, entry.mr, t)
+                {
                     redundant += 1;
                 }
             }
@@ -354,74 +575,47 @@ impl RlcIndex {
         self.redundant_entries() == 0
     }
 
-    /// Can `(s, t, mr+)` be answered without using the entry `(s, mr) ∈ Lin(t)`?
-    fn answerable_without_lin_entry(&self, s: VertexId, t: VertexId, mr: MrId) -> bool {
-        // Case 2 via Lout(s).
-        if self.lout[s as usize]
+    /// Whether `(hub, mr)` is an entry of `owner`'s row on `side`.
+    fn holds(&self, side: &PackedSide, owner: VertexId, hub: VertexId, mr: MrId) -> bool {
+        let key = pack_key(mr, self.order.aid(hub));
+        side.row(owner as usize).binary_search(&key).is_ok()
+    }
+
+    /// Whether some hub other than `exclude` has `(hub, mr)` in both
+    /// `Lout(s)` and `Lin(t)`.
+    fn join_hub_exists(&self, s: VertexId, t: VertexId, mr: MrId, exclude: VertexId) -> bool {
+        let excluded = pack_key(mr, self.order.aid(exclude));
+        let lin_run = mr_run(self.lin.row(t as usize), mr);
+        mr_run(self.lout.row(s as usize), mr)
             .iter()
-            .any(|e| e.hub == t && e.mr == mr)
-        {
-            return true;
-        }
-        // Case 1 with any hub other than s itself (the hub-s pair on the
-        // Lin(t) side would be the entry under test).
-        self.join_hub_exists(s, t, mr, Some(s))
+            .any(|key| *key != excluded && lin_run.binary_search(key).is_ok())
     }
 
-    /// Can `(s, t, mr+)` be answered without using the entry `(t, mr) ∈ Lout(s)`?
-    fn answerable_without_lout_entry(&self, s: VertexId, t: VertexId, mr: MrId) -> bool {
-        if self.lin[t as usize]
-            .iter()
-            .any(|e| e.hub == s && e.mr == mr)
-        {
-            return true;
-        }
-        self.join_hub_exists(s, t, mr, Some(t))
-    }
-
-    /// Whether some hub `x` (optionally excluding one vertex) has `(x, mr)` in
-    /// both `Lout(s)` and `Lin(t)`.
-    fn join_hub_exists(
-        &self,
-        s: VertexId,
-        t: VertexId,
-        mr: MrId,
-        exclude: Option<VertexId>,
-    ) -> bool {
-        let lout_s = &self.lout[s as usize];
-        let lin_t = &self.lin[t as usize];
-        for a in lout_s {
-            if a.mr != mr || Some(a.hub) == exclude {
-                continue;
-            }
-            if lin_t.iter().any(|b| b.hub == a.hub && b.mr == mr) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Serializes the index to a compact binary representation (format
-    /// version 2, magic `"RLC2"`).
+    /// Serializes the index to its binary representation (format version 3,
+    /// magic `"RLC3"`): the packed arrays exactly as they sit in memory.
     ///
-    /// Layout: header (`k` as `u32`, vertex count as `u64`, catalog size as
-    /// `u64`), the catalog sequences (each a `u16` length followed by `u16`
-    /// labels), the access-id permutation (`u32` per vertex), then per-vertex
-    /// entry lists (`u32` length, then `u32` hub + `u32` MR id per entry).
-    /// All integers are little-endian.
+    /// Layout, all integers little-endian: a 40-byte header (magic, `k` as
+    /// `u32`, then vertex count `n`, catalog size, `Lout` entry count and
+    /// `Lin` entry count as `u64`), the catalog sequences (each a `u16`
+    /// length followed by `u16` labels), the vertex order (`n` × `u32`, the
+    /// vertex at each access id), then per side — `Lout` first — the
+    /// `n + 1` row offsets (`u32`) and the entry keys (`u64`,
+    /// `(mr << 32) | hub_rank`, strictly increasing within a row).
     ///
     /// Returns an explicit error instead of silently truncating when a field
-    /// exceeds its on-disk width (a catalog sequence longer than `u16::MAX`
-    /// labels, or a per-vertex entry list longer than `u32::MAX`).
+    /// exceeds its on-disk width (`k` beyond `u32`, or a catalog sequence
+    /// longer than `u16::MAX` labels).
     pub fn try_to_bytes(&self) -> Result<Vec<u8>, String> {
         use bytes::BufMut;
-        let mut buf = Vec::with_capacity(self.csr_memory_bytes());
+        let mut buf = Vec::with_capacity(HEADER_BYTES + self.memory_bytes());
         buf.put_u32_le(MAGIC);
         buf.put_u32_le(
             u32::try_from(self.k).map_err(|_| format!("recursive k {} exceeds u32", self.k))?,
         );
         buf.put_u64_le(self.vertex_count() as u64);
         buf.put_u64_le(self.catalog.len() as u64);
+        buf.put_u64_le(self.lout.keys.len() as u64);
+        buf.put_u64_le(self.lin.keys.len() as u64);
         for (id, seq) in self.catalog.iter() {
             let len = u16::try_from(seq.len()).map_err(|_| {
                 format!(
@@ -439,39 +633,38 @@ impl RlcIndex {
             buf.put_u32_le(v);
         }
         for side in [&self.lout, &self.lin] {
-            for (v, entries) in side.iter().enumerate() {
-                let len = u32::try_from(entries.len()).map_err(|_| {
-                    format!(
-                        "vertex {v} has {} entries, exceeding the u32 length field",
-                        entries.len()
-                    )
-                })?;
-                buf.put_u32_le(len);
-                for e in entries {
-                    buf.put_u32_le(e.hub);
-                    buf.put_u32_le(e.mr.0);
-                }
+            for &offset in &side.row_ptr {
+                buf.put_u32_le(offset);
+            }
+            for &key in &side.keys {
+                buf.put_u64_le(key);
             }
         }
         Ok(buf)
     }
 
     /// Serializes the index, panicking on field overflow (see
-    /// [`RlcIndex::try_to_bytes`] for the fallible variant; overflow needs an
-    /// index beyond 2^32 entries on one vertex, so the panic is theoretical).
+    /// [`RlcIndex::try_to_bytes`] for the fallible variant; overflow needs a
+    /// recursive `k` beyond 65 535, so the panic is theoretical).
     pub fn to_bytes(&self) -> Vec<u8> {
         self.try_to_bytes()
-            // rlc-analyze: allow(panic-free-library) — documented panicking wrapper; the fallible twin is try_to_bytes, and overflow needs 2^32 entries on one vertex
+            // rlc-analyze: allow(panic-free-library) — documented panicking wrapper; the fallible twin is try_to_bytes, and overflow needs a recursive k beyond 65 535
             .expect("index exceeds binary format field widths")
     }
 
     /// Deserializes an index produced by [`RlcIndex::to_bytes`].
     ///
-    /// Every structural invariant is validated: magic/version, catalog
-    /// sequences must be distinct minimum repeats, the vertex order must be a
-    /// bijection over the vertex ids, and every entry must reference an
-    /// in-range hub and a known minimum repeat. Corrupt or truncated blobs
-    /// yield a descriptive error, never a silently wrong index.
+    /// Each array is decoded in bulk after its declared count has been
+    /// bounded by the bytes actually present, then one pass validates every
+    /// invariant the query procedure relies on: magic/version, `k ≥ 1`,
+    /// catalog sequences distinct minimum repeats, the vertex order a
+    /// bijection over the vertex ids, row offsets monotone from 0 to the
+    /// declared entry count, keys strictly increasing within each row (the
+    /// merge-join order, which also rules out duplicates), every hub rank
+    /// below the vertex count, every minimum-repeat id inside the catalog,
+    /// and no trailing bytes. Corrupt or truncated blobs yield a descriptive
+    /// error, never a panic or a silently wrong index. Blobs of the retired
+    /// `RLC2`/`RLC1` formats are recognised only to say so.
     pub fn from_bytes(data: &[u8]) -> Result<Self, String> {
         use bytes::Buf;
         let mut buf = data;
@@ -485,25 +678,31 @@ impl RlcIndex {
                 Err(corrupt(what))
             }
         };
-        check(buf.remaining() >= 24, "header")?;
+        check(buf.remaining() >= 4, "magic")?;
         let magic = buf.get_u32_le();
-        if magic == MAGIC_V1 {
-            return Err(
-                "unsupported RLC index format version 1; rebuild and re-serialize the index"
-                    .to_owned(),
-            );
+        match magic {
+            MAGIC => {}
+            MAGIC_V1 | MAGIC_V2 => {
+                return Err(format!(
+                    "unsupported RLC index format version {}; rebuild and re-serialize the index",
+                    magic - MAGIC_V1 + 1
+                ))
+            }
+            _ => return Err(format!("bad magic {magic:#x}, not an RLC index blob")),
         }
-        if magic != MAGIC {
-            return Err(format!("bad magic {magic:#x}, not an RLC index blob"));
-        }
+        check(buf.remaining() >= HEADER_BYTES - 4, "header")?;
         let k = buf.get_u32_le() as usize;
         if k == 0 {
             return Err("corrupt index data: recursive k must be at least 1".to_owned());
         }
-        let n = usize::try_from(buf.get_u64_le())
-            .map_err(|_| "corrupt index data: vertex count exceeds usize".to_owned())?;
-        let catalog_len = usize::try_from(buf.get_u64_le())
-            .map_err(|_| "corrupt index data: catalog size exceeds usize".to_owned())?;
+        let mut header_count = |what: &str| -> Result<usize, String> {
+            usize::try_from(buf.get_u64_le())
+                .map_err(|_| format!("corrupt index data: {what} exceeds usize"))
+        };
+        let n = header_count("vertex count")?;
+        let catalog_len = header_count("catalog size")?;
+        let lout_entries = header_count("Lout entry count")?;
+        let lin_entries = header_count("Lin entry count")?;
         // Size fields come from untrusted data: bound them by the bytes
         // actually present (division form, immune to multiplication
         // overflow) before any loop or allocation sized by them.
@@ -529,11 +728,11 @@ impl RlcIndex {
         }
         let n =
             rlc_graph::checked_len(n, 4, buf.remaining()).map_err(|_| corrupt("vertex order"))?;
-        let sequence: Vec<VertexId> = (0..n).map(|_| buf.get_u32_le()).collect();
+        let sequence = le_u32s(split_front(&mut buf, 4 * n));
         // The order must be a bijection between positions and vertex ids:
         // every id in range and none repeated (with exactly n positions this
         // also rules out missing ids, which would otherwise silently keep the
-        // default access id 0 and corrupt every PR2 comparison downstream).
+        // default access id 0 and corrupt every rank comparison downstream).
         let mut aid = vec![u32::MAX; n];
         for (pos, &v) in sequence.iter().enumerate() {
             check((v as usize) < n, "vertex order entry")?;
@@ -547,51 +746,31 @@ impl RlcIndex {
             aid[v as usize] = pos as u32;
         }
         let order = VertexOrder { sequence, aid };
-        let read_side =
-            |buf: &mut &[u8], side_name: &str| -> Result<Vec<Vec<IndexEntry>>, String> {
-                let mut side = Vec::with_capacity(n);
-                for _ in 0..n {
-                    check(buf.remaining() >= 4, "entry list length")?;
-                    let len = buf.get_u32_le() as usize;
-                    let len = rlc_graph::checked_len(len, 8, buf.remaining())
-                        .map_err(|_| corrupt("entry list"))?;
-                    let mut entries = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        let hub = buf.get_u32_le();
-                        let mr = MrId(buf.get_u32_le());
-                        if hub as usize >= n {
-                            return Err(format!(
-                                "corrupt index data: {side_name} entry hub {hub} out of range \
-                             for {n} vertices"
-                            ));
-                        }
-                        if mr.index() >= catalog_len {
-                            return Err(format!(
-                                "corrupt index data: {side_name} entry references unknown \
-                             minimum repeat {}",
-                                mr.0
-                            ));
-                        }
-                        entries.push(IndexEntry { hub, mr });
-                    }
-                    side.push(entries);
-                }
-                Ok(side)
-            };
-        let lout = read_side(&mut buf, "Lout")?;
-        let lin = read_side(&mut buf, "Lin")?;
+        let mut read_side = |side: &str, entries: usize| -> Result<PackedSide, String> {
+            let offsets = rlc_graph::checked_len(n + 1, 4, buf.remaining())
+                .map_err(|_| corrupt("row offsets"))?;
+            let row_ptr = le_u32s(split_front(&mut buf, 4 * offsets));
+            let entries = rlc_graph::checked_len(entries, 8, buf.remaining())
+                .map_err(|_| corrupt("entry keys"))?;
+            let keys = le_u64s(split_front(&mut buf, 8 * entries));
+            let packed = PackedSide { row_ptr, keys };
+            packed.validate(side, catalog_len)?;
+            Ok(packed)
+        };
+        let lout = read_side("Lout", lout_entries)?;
+        let lin = read_side("Lin", lin_entries)?;
         if buf.remaining() > 0 {
             return Err(format!(
-                "corrupt index data: {} trailing bytes after the last entry list",
+                "corrupt index data: {} trailing bytes after the last entry array",
                 buf.remaining()
             ));
         }
         Ok(RlcIndex {
             k,
             order,
-            lin,
-            lout,
             catalog,
+            lout,
+            lin,
             // A deserialized index is a new index structure: stale artifacts
             // from whatever produced the blob must re-prepare against it.
             generation: Generation::fresh(),
@@ -623,7 +802,7 @@ impl RlcIndex {
             format!("({})", parts.join(","))
         };
         for v in 0..self.vertex_count() as VertexId {
-            let fmt_entries = |entries: &[IndexEntry]| {
+            let fmt_entries = |entries: EntryRow<'_>| {
                 entries
                     .iter()
                     .map(|e| format!("({},{})", vertex(e.hub), mr(e.mr)))
@@ -633,24 +812,53 @@ impl RlcIndex {
             out.push_str(&format!(
                 "{}: Lin = [{}], Lout = [{}]\n",
                 vertex(v),
-                fmt_entries(&self.lin[v as usize]),
-                fmt_entries(&self.lout[v as usize]),
+                fmt_entries(self.lin(v)),
+                fmt_entries(self.lout(v)),
             ));
         }
         out
     }
 }
 
-/// Current binary format magic ("RLC2"): version 2 widened the catalog
-/// sequence length from `u8` to `u16` and the catalog count from `u32` to
-/// `u64` after version 1 was found to silently truncate on narrow casts.
-const MAGIC: u32 = 0x524C_4332; // "RLC2"
-/// Format version 1 magic, recognized only to produce a version error.
+/// Current binary format magic ("RLC3"): version 3 stores the packed CSR
+/// arrays the index holds in memory; versions 1 and 2 stored per-vertex
+/// entry lists in hub order.
+const MAGIC: u32 = 0x524C_4333; // "RLC3"
+/// Retired format magics, recognized only to produce a version error.
 const MAGIC_V1: u32 = 0x524C_4331; // "RLC1"
+const MAGIC_V2: u32 = 0x524C_4332; // "RLC2"
+/// Magic, `k`, and the four `u64` counts.
+const HEADER_BYTES: usize = 4 + 4 + 4 * 8;
+
+/// Splits `len` bytes off the front of `buf`; callers bound `len` by the
+/// bytes present first.
+fn split_front<'a>(buf: &mut &'a [u8], len: usize) -> &'a [u8] {
+    let (head, rest) = buf.split_at(len);
+    *buf = rest;
+    head
+}
+
+/// Decodes a whole little-endian `u32` array; the allocation is sized by the
+/// bytes given, never by a declared count.
+fn le_u32s(bytes: &[u8]) -> Vec<u32> {
+    bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect()
+}
+
+/// Decodes a whole little-endian `u64` array (see [`le_u32s`]).
+fn le_u64s(bytes: &[u8]) -> Vec<u64> {
+    bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
+        .collect()
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::{build_index, BuildConfig};
     use crate::order::{compute_order, OrderingStrategy};
     use rlc_graph::examples::fig2_graph;
 
@@ -661,14 +869,19 @@ mod tests {
         b.add_edge_named("a", "x", "b");
         let g = b.build();
         let order = compute_order(&g, OrderingStrategy::InOutDegree);
-        let mut index = RlcIndex::empty(2, order);
         let x = g.labels().resolve("x").unwrap();
-        let mr = index.catalog.intern(&[x]);
+        let mut catalog = MrCatalog::new();
+        let mr = catalog.intern(&[x]);
         let a = g.vertex_id("a").unwrap();
-        let bb = g.vertex_id("b").unwrap();
+        assert_eq!((a, g.vertex_id("b").unwrap()), (0, 1));
         // Record a ⇝ b with (x)+ as a Case-2 entry on the Lin side.
-        index.lin[bb as usize].push(IndexEntry { hub: a, mr });
-        index
+        RlcIndex::from_rows(
+            2,
+            order,
+            catalog,
+            [None, None],
+            [None, Some(IndexEntry { hub: a, mr })],
+        )
     }
 
     #[test]
@@ -708,28 +921,63 @@ mod tests {
         b.add_edge_named("h", "x", "t");
         let g = b.build();
         let order = compute_order(&g, OrderingStrategy::InOutDegree);
-        let mut index = RlcIndex::empty(2, order);
         let x = g.labels().resolve("x").unwrap();
-        let mr = index.catalog.intern(&[x]);
+        let mut catalog = MrCatalog::new();
+        let mr = catalog.intern(&[x]);
+        let other = catalog.intern(&[Label(9)]);
         let s = g.vertex_id("s").unwrap();
         let h = g.vertex_id("h").unwrap();
         let t = g.vertex_id("t").unwrap();
-        index.lout[s as usize].push(IndexEntry { hub: h, mr });
-        index.lin[t as usize].push(IndexEntry { hub: h, mr });
+        let only = |owner| {
+            g.vertices()
+                .map(move |v| (v == owner).then_some(IndexEntry { hub: h, mr }))
+        };
+        let index = RlcIndex::from_rows(2, order, catalog, only(s), only(t));
         assert!(index.query_interned(s, t, mr));
         // A different constraint through the same hub must not match.
-        let other = index.catalog.intern(&[Label(9)]);
         assert!(!index.query_interned(s, t, other));
+        // The probe form answers the same, target resolved once.
+        let probe = index.target_probe(t, mr);
+        assert!(probe.reached_from(s));
+        assert!(!probe.reached_from(t));
+    }
+
+    #[test]
+    fn row_views_yield_entries_by_minimum_repeat_then_hub_rank() {
+        let g = fig2_graph();
+        let (index, _) = build_index(&g, &BuildConfig::new(2));
+        let mut seen = 0;
+        for v in g.vertices() {
+            for row in [index.lin(v), index.lout(v)] {
+                let entries: Vec<IndexEntry> = row.iter().collect();
+                assert_eq!(entries.len(), row.len());
+                assert_eq!(row.is_empty(), entries.is_empty());
+                let sort_keys: Vec<(MrId, u32)> = entries
+                    .iter()
+                    .map(|e| (e.mr, index.order().aid(e.hub)))
+                    .collect();
+                assert!(sort_keys.windows(2).all(|pair| pair[0] < pair[1]));
+                for (mr, _) in index.catalog().iter() {
+                    let run: Vec<IndexEntry> = row.run(mr).into_iter().collect();
+                    let filtered: Vec<IndexEntry> =
+                        entries.iter().copied().filter(|e| e.mr == mr).collect();
+                    assert_eq!(run, filtered);
+                }
+                seen += entries.len();
+            }
+        }
+        assert_eq!(seen, index.entry_count());
     }
 
     #[test]
     fn binary_round_trip_preserves_queries() {
         let g = fig2_graph();
-        let (index, _) = crate::build::build_index(&g, &crate::build::BuildConfig::new(2));
+        let (index, _) = build_index(&g, &BuildConfig::new(2));
         let bytes = index.to_bytes();
         let back = RlcIndex::from_bytes(&bytes).unwrap();
         assert_eq!(back.k(), index.k());
         assert_eq!(back.entry_count(), index.entry_count());
+        assert_eq!(back.memory_bytes(), index.memory_bytes());
         for s in g.vertices() {
             for t in g.vertices() {
                 for (_, seq) in index.catalog().iter() {
@@ -742,12 +990,12 @@ mod tests {
 
     #[test]
     fn deserialized_indexes_get_fresh_generations() {
-        // The wire formats never carry generations: every deserialization
+        // The wire format never carries generations: every deserialization
         // mints a fresh one, so a loaded index can never be confused with
         // the (possibly dropped) index that produced the blob — and the blob
         // itself is byte-identical regardless of the source's generation.
         let g = fig2_graph();
-        let (index, _) = crate::build::build_index(&g, &crate::build::BuildConfig::new(2));
+        let (index, _) = build_index(&g, &BuildConfig::new(2));
         let bytes = index.to_bytes();
         let once = RlcIndex::from_bytes(&bytes).unwrap();
         let twice = RlcIndex::from_bytes(&bytes).unwrap();
@@ -759,11 +1007,6 @@ mod tests {
             bytes,
             "generation must not leak into the blob"
         );
-        // Same contract for the serde path (skip + Default mints fresh).
-        let json = serde_json::to_string(&index).unwrap();
-        assert!(!json.contains("generation"));
-        let back: RlcIndex = serde_json::from_str(&json).unwrap();
-        assert_ne!(back.generation(), index.generation());
         // Clones share content, so they share the stamp.
         assert_eq!(index.clone().generation(), index.generation());
     }
@@ -778,69 +1021,219 @@ mod tests {
         assert!(RlcIndex::from_bytes(&blob[..blob.len() - 3]).is_err());
     }
 
-    /// Byte offset of the vertex-order section in a `tiny_index` blob:
-    /// 24-byte header, then one catalog sequence (2-byte length + one
-    /// 2-byte label).
-    const TINY_ORDER_OFFSET: usize = 24 + 4;
+    /// Byte offsets of the sections of `index.to_bytes()`.
+    struct Layout {
+        order: usize,
+        lout_ptr: usize,
+        lout_keys: usize,
+        lin_ptr: usize,
+        lin_keys: usize,
+    }
+
+    fn layout(index: &RlcIndex) -> Layout {
+        let catalog: usize = index.catalog().iter().map(|(_, s)| 2 + 2 * s.len()).sum();
+        let offsets = 4 * (index.vertex_count() + 1);
+        let order = HEADER_BYTES + catalog;
+        let lout_ptr = order + 4 * index.vertex_count();
+        let lout_keys = lout_ptr + offsets;
+        let lin_ptr = lout_keys + 8 * index.lout.keys.len();
+        Layout {
+            order,
+            lout_ptr,
+            lout_keys,
+            lin_ptr,
+            lin_keys: lin_ptr + offsets,
+        }
+    }
+
+    /// The Fig. 2 index, its blob, and the first `Lout` row holding at least
+    /// two entries as `(byte offset of its first key, entry count)`.
+    fn fig2_blob() -> (RlcIndex, Vec<u8>, (usize, usize)) {
+        let (index, _) = build_index(&fig2_graph(), &BuildConfig::new(2));
+        let blob = index.to_bytes();
+        let at = layout(&index);
+        assert_eq!(at.lin_keys + 8 * index.lin.keys.len(), blob.len());
+        let ptr = &index.lout.row_ptr;
+        let v = (0..index.vertex_count())
+            .find(|&v| ptr[v + 1] - ptr[v] >= 2)
+            .expect("some Lout row of Fig. 2 holds two entries");
+        let row = (
+            at.lout_keys + 8 * ptr[v] as usize,
+            (ptr[v + 1] - ptr[v]) as usize,
+        );
+        (index, blob, row)
+    }
+
+    fn put(blob: &mut [u8], at: usize, bytes: &[u8]) {
+        blob[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
+    fn rejected(blob: &[u8], expected: &str) {
+        let err = RlcIndex::from_bytes(blob).unwrap_err();
+        assert!(err.contains(expected), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn from_bytes_rejects_swapped_entries() {
+        // The loader hole: two entries of one row exchanged. The `RLC2`
+        // loader accepted the equivalent blob and the merge join then
+        // answered `false` for true pairs.
+        let (_, mut blob, (row, _)) = fig2_blob();
+        let (first, second) = (
+            blob[row..row + 8].to_vec(),
+            blob[row + 8..row + 16].to_vec(),
+        );
+        put(&mut blob, row, &second);
+        put(&mut blob, row + 8, &first);
+        rejected(&blob, "strictly increasing");
+    }
+
+    #[test]
+    fn from_bytes_rejects_duplicate_entries() {
+        let (_, mut blob, (row, _)) = fig2_blob();
+        let first = blob[row..row + 8].to_vec();
+        put(&mut blob, row + 8, &first);
+        rejected(&blob, "strictly increasing");
+    }
+
+    #[test]
+    fn from_bytes_rejects_non_monotone_row_offsets() {
+        let (index, mut blob, _) = fig2_blob();
+        let at = layout(&index);
+        // Row 1 starts beyond where row 2 starts: inside the key array, but
+        // running backwards.
+        let beyond = index.lin.row_ptr[2] + 1;
+        assert!((beyond as usize) <= index.lin.keys.len());
+        put(&mut blob, at.lin_ptr + 4, &beyond.to_le_bytes());
+        rejected(&blob, "row offsets");
+    }
+
+    #[test]
+    fn from_bytes_rejects_row_offsets_not_ending_at_the_entry_count() {
+        let (index, blob, _) = fig2_blob();
+        let at = layout(&index);
+        let n = index.vertex_count();
+        // Last offset one short of the keys present…
+        let mut short = blob.clone();
+        let last = index.lout.row_ptr[n] - 1;
+        put(&mut short, at.lout_ptr + 4 * n, &last.to_le_bytes());
+        rejected(&short, "row offsets");
+        // …far beyond them (a row slice would run off the array)…
+        let mut beyond = blob.clone();
+        put(&mut beyond, at.lout_ptr + 4 * n, &u32::MAX.to_le_bytes());
+        rejected(&beyond, "row offsets");
+        // …and a first offset that skips entries.
+        let mut skipped = blob;
+        put(&mut skipped, at.lout_ptr, &1u32.to_le_bytes());
+        rejected(&skipped, "row offsets");
+    }
+
+    #[test]
+    fn from_bytes_rejects_out_of_range_hub_rank() {
+        let (index, mut blob, (row, len)) = fig2_blob();
+        // Raise the rank of the row's last key (keeping the row sorted) to
+        // the vertex count.
+        let last = row + 8 * (len - 1);
+        put(
+            &mut blob,
+            last,
+            &(index.vertex_count() as u32).to_le_bytes(),
+        );
+        rejected(&blob, "hub rank");
+    }
+
+    #[test]
+    fn from_bytes_rejects_unknown_minimum_repeat_id() {
+        let (index, mut blob, (row, len)) = fig2_blob();
+        let last = row + 8 * (len - 1);
+        put(
+            &mut blob,
+            last + 4,
+            &(index.catalog().len() as u32).to_le_bytes(),
+        );
+        rejected(&blob, "unknown minimum repeat");
+    }
+
+    #[test]
+    fn from_bytes_rejects_every_truncation_and_survives_every_byte_flip() {
+        let (_, blob, _) = fig2_blob();
+        for len in 0..blob.len() {
+            assert!(
+                RlcIndex::from_bytes(&blob[..len]).is_err(),
+                "prefix of {len} bytes must be rejected"
+            );
+        }
+        // A flipped byte may still decode to a valid index (a label id, a
+        // hub rank); what it must never do is panic — and whatever loads
+        // must answer without panicking too.
+        for at in 0..blob.len() {
+            let mut bad = blob.clone();
+            bad[at] ^= 0xFF;
+            if let Ok(index) = RlcIndex::from_bytes(&bad) {
+                let _ = index.redundant_entries();
+            }
+        }
+    }
 
     #[test]
     fn from_bytes_rejects_duplicate_vertex_in_order() {
-        let mut blob = tiny_index().to_bytes();
+        let index = tiny_index();
+        let order = layout(&index).order;
+        let mut blob = index.to_bytes();
         // Overwrite the second order entry with a copy of the first, so one
         // vertex id appears twice and the other never.
-        let (first, rest) = blob.split_at_mut(TINY_ORDER_OFFSET + 4);
-        rest[..4].copy_from_slice(&first[TINY_ORDER_OFFSET..]);
-        let err = RlcIndex::from_bytes(&blob).unwrap_err();
-        assert!(
-            err.contains("not a permutation"),
-            "error should name the broken invariant: {err}"
-        );
+        let first = blob[order..order + 4].to_vec();
+        put(&mut blob, order + 4, &first);
+        rejected(&blob, "not a permutation");
     }
 
     #[test]
     fn from_bytes_rejects_out_of_range_vertex_in_order() {
-        let mut blob = tiny_index().to_bytes();
-        blob[TINY_ORDER_OFFSET..TINY_ORDER_OFFSET + 4].copy_from_slice(&99u32.to_le_bytes());
-        let err = RlcIndex::from_bytes(&blob).unwrap_err();
-        assert!(err.contains("vertex order"), "unexpected error: {err}");
+        let index = tiny_index();
+        let order = layout(&index).order;
+        let mut blob = index.to_bytes();
+        put(&mut blob, order, &99u32.to_le_bytes());
+        rejected(&blob, "vertex order");
     }
 
     #[test]
     fn from_bytes_rejects_version_1_blobs() {
         let mut blob = tiny_index().to_bytes();
-        blob[..4].copy_from_slice(&0x524C_4331u32.to_le_bytes());
-        let err = RlcIndex::from_bytes(&blob).unwrap_err();
-        assert!(err.contains("version 1"), "unexpected error: {err}");
+        put(&mut blob, 0, &0x524C_4331u32.to_le_bytes());
+        rejected(&blob, "version 1");
+    }
+
+    #[test]
+    fn from_bytes_rejects_version_2_blobs() {
+        // `RLC2` gets the treatment `RLC1` got: named, not converted.
+        let mut blob = tiny_index().to_bytes();
+        put(&mut blob, 0, &0x524C_4332u32.to_le_bytes());
+        rejected(&blob, "version 2");
     }
 
     #[test]
     fn from_bytes_rejects_absurd_size_fields_without_allocating() {
-        // A crafted header claiming 2^62 vertices must yield a descriptive
-        // error: the old `4 * n` length check wrapped to 0 and the loader
-        // went on to attempt a multi-exbibyte allocation.
-        let mut blob = Vec::new();
-        blob.extend_from_slice(&0x524C_4332u32.to_le_bytes());
-        blob.extend_from_slice(&2u32.to_le_bytes());
-        blob.extend_from_slice(&(1u64 << 62).to_le_bytes());
-        blob.extend_from_slice(&0u64.to_le_bytes());
-        let err = RlcIndex::from_bytes(&blob).unwrap_err();
-        assert!(err.contains("vertex order"), "unexpected error: {err}");
-        // Same for an absurd catalog count.
-        let mut blob = Vec::new();
-        blob.extend_from_slice(&0x524C_4332u32.to_le_bytes());
-        blob.extend_from_slice(&2u32.to_le_bytes());
-        blob.extend_from_slice(&0u64.to_le_bytes());
-        blob.extend_from_slice(&u64::MAX.to_le_bytes());
-        let err = RlcIndex::from_bytes(&blob).unwrap_err();
-        assert!(err.contains("catalog"), "unexpected error: {err}");
+        // A crafted header claiming 2^62 of anything must yield a
+        // descriptive error from the division-form bound, before the
+        // allocation the count would size: the vertex count (at header
+        // offset 8), the catalog size (16), either entry count (24, 32).
+        for (field, expected) in [
+            (8, "vertex order"),
+            (16, "catalog"),
+            (24, "entry keys"),
+            (32, "entry keys"),
+        ] {
+            let mut blob = tiny_index().to_bytes();
+            put(&mut blob, field, &(1u64 << 62).to_le_bytes());
+            rejected(&blob, expected);
+        }
     }
 
     #[test]
     fn from_bytes_rejects_trailing_garbage() {
         let mut blob = tiny_index().to_bytes();
         blob.push(0);
-        let err = RlcIndex::from_bytes(&blob).unwrap_err();
-        assert!(err.contains("trailing"), "unexpected error: {err}");
+        rejected(&blob, "trailing");
     }
 
     #[test]
@@ -848,11 +1241,10 @@ mod tests {
         let mut blob = tiny_index().to_bytes();
         // Bump the catalog count to 2 and splice in a copy of the first
         // (and only) catalog sequence record.
-        blob[16..24].copy_from_slice(&2u64.to_le_bytes());
-        let record: Vec<u8> = blob[24..28].to_vec();
-        blob.splice(28..28, record);
-        let err = RlcIndex::from_bytes(&blob).unwrap_err();
-        assert!(err.contains("duplicates"), "unexpected error: {err}");
+        put(&mut blob, 16, &2u64.to_le_bytes());
+        let record: Vec<u8> = blob[HEADER_BYTES..HEADER_BYTES + 4].to_vec();
+        blob.splice(HEADER_BYTES + 4..HEADER_BYTES + 4, record);
+        rejected(&blob, "duplicates");
     }
 
     #[test]
@@ -860,11 +1252,10 @@ mod tests {
         let mut blob = tiny_index().to_bytes();
         // Rewrite the only catalog sequence as (x, x), which is not its own
         // minimum repeat.
-        let label: Vec<u8> = blob[26..28].to_vec();
-        blob[24..26].copy_from_slice(&2u16.to_le_bytes());
-        blob.splice(28..28, label);
-        let err = RlcIndex::from_bytes(&blob).unwrap_err();
-        assert!(err.contains("minimum repeat"), "unexpected error: {err}");
+        let label: Vec<u8> = blob[HEADER_BYTES + 2..HEADER_BYTES + 4].to_vec();
+        put(&mut blob, HEADER_BYTES, &2u16.to_le_bytes());
+        blob.splice(HEADER_BYTES + 4..HEADER_BYTES + 4, label);
+        rejected(&blob, "minimum repeat");
     }
 
     #[test]
@@ -876,10 +1267,16 @@ mod tests {
         b.add_edge_named("a", "x", "b");
         let g = b.build();
         let order = compute_order(&g, OrderingStrategy::InOutDegree);
-        let mut index = RlcIndex::empty(300, order);
         let long: Vec<Label> = (0..300u16).map(Label).collect();
-        let mr = index.catalog.intern(&long);
-        index.lin[1].push(IndexEntry { hub: 0, mr });
+        let mut catalog = MrCatalog::new();
+        let mr = catalog.intern(&long);
+        let index = RlcIndex::from_rows(
+            300,
+            order,
+            catalog,
+            [None, None],
+            [None, Some(IndexEntry { hub: 0, mr })],
+        );
         let back = RlcIndex::from_bytes(&index.to_bytes()).unwrap();
         assert_eq!(back.catalog().sequence(mr), &long[..]);
         assert_eq!(back.entry_count(), 1);
@@ -902,26 +1299,33 @@ mod tests {
     }
 
     #[test]
-    fn memory_bytes_prices_the_actual_layout_not_the_csr_one() {
+    fn memory_bytes_prices_the_packed_arrays_exactly() {
         let g = fig2_graph();
-        let (index, _) = crate::build::build_index(&g, &crate::build::BuildConfig::new(2));
-        let actual = index.memory_bytes();
-        let csr = index.csr_memory_bytes();
-        // The Vec-of-Vecs layout carries ≈48 bytes of Vec headers per vertex
-        // (two sides), so actual residency must exceed the CSR estimate's
-        // 16 bytes of per-vertex bookkeeping.
-        let headers = 2 * index.vertex_count() * std::mem::size_of::<Vec<IndexEntry>>();
-        assert!(
-            actual >= index.entry_count() * std::mem::size_of::<IndexEntry>() + headers,
-            "actual residency must cover entries plus Vec headers"
+        let (index, _) = build_index(&g, &BuildConfig::new(2));
+        let n = index.vertex_count();
+        // Two sides of n + 1 row offsets and 8-byte keys, plus the order's
+        // two n-long u32 arrays and the catalog: nothing estimated.
+        let arrays = 2 * 4 * (n + 1) + 8 * index.entry_count() + 2 * 4 * n;
+        assert_eq!(
+            index.memory_bytes(),
+            arrays + index.catalog().memory_bytes()
         );
-        assert!(actual > csr, "pointer layout outweighs the CSR estimate");
+        // The packed layout is the resident one, so the CSR figure is the
+        // same number — and the blob is those arrays plus header and the
+        // catalog's wire form, minus the access-id array it re-derives.
+        assert_eq!(index.csr_memory_bytes(), index.memory_bytes());
+        assert_eq!(index.stats().csr_memory_bytes, index.stats().memory_bytes);
+        let catalog_wire = layout(&index).order - HEADER_BYTES;
+        assert_eq!(
+            index.to_bytes().len(),
+            HEADER_BYTES + catalog_wire + arrays - 4 * n
+        );
     }
 
     #[test]
     fn describe_uses_names() {
         let g = fig2_graph();
-        let (index, _) = crate::build::build_index(&g, &crate::build::BuildConfig::new(2));
+        let (index, _) = build_index(&g, &BuildConfig::new(2));
         let text = index.describe(&g);
         assert!(text.contains("v1"));
         assert!(text.contains("Lout"));

@@ -74,7 +74,7 @@ pub use engine::{
 pub use hybrid::{
     evaluate_blocks_grouped_with, evaluate_blocks_with, prefix_frontier, repetition_closure,
 };
-pub use index::{IndexEntry, IndexStats, RlcIndex};
+pub use index::{EntryRow, IndexEntry, IndexStats, RlcIndex, TargetProbe};
 pub use kernel::{kernel, kernel_name, set_kernel, FrontierSet, KernelChoice, WordOps, WordsView};
 pub use order::{compute_order, OrderingStrategy, VertexOrder};
 pub use plan::BatchPlan;

@@ -222,16 +222,26 @@ mod tests {
     #[test]
     fn corrupted_index_is_detected() {
         let graph = fig2_graph();
-        let (mut index, _) = build_index(&graph, &BuildConfig::new(2));
+        let (index, _) = build_index(&graph, &BuildConfig::new(2));
         // Forge an entry claiming v6 reaches v1 under (l3)+, which is false.
         let l3 = graph.labels().resolve("l3").unwrap();
-        let fake_mr = index.catalog.intern(&[l3]);
+        let mut catalog = index.catalog().clone();
+        let fake_mr = catalog.intern(&[l3]);
         let v1 = graph.vertex_id("v1").unwrap();
         let v6 = graph.vertex_id("v6").unwrap();
-        index.lout[v6 as usize].push(IndexEntry {
+        let forged = IndexEntry {
             hub: v1,
             mr: fake_mr,
-        });
+        };
+        let index = RlcIndex::from_rows(
+            index.k(),
+            index.order().clone(),
+            catalog,
+            graph
+                .vertices()
+                .map(|v| index.lout(v).iter().chain((v == v6).then_some(forged))),
+            graph.vertices().map(|v| index.lin(v)),
+        );
         let report = verify_index(&graph, &index, VerificationMode::Exhaustive);
         assert!(!report.is_sound_and_complete());
         assert!(report
@@ -243,11 +253,15 @@ mod tests {
     #[test]
     fn truncated_index_is_detected_as_incomplete() {
         let graph = fig2_graph();
-        let (mut index, _) = build_index(&graph, &BuildConfig::new(2));
+        let (index, _) = build_index(&graph, &BuildConfig::new(2));
         // Drop every Lin entry: many true queries become unanswerable.
-        for lin in &mut index.lin {
-            lin.clear();
-        }
+        let index = RlcIndex::from_rows(
+            index.k(),
+            index.order().clone(),
+            index.catalog().clone(),
+            graph.vertices().map(|v| index.lout(v)),
+            graph.vertices().map(|_| None),
+        );
         let report = verify_index(&graph, &index, VerificationMode::Exhaustive);
         assert!(!report.is_sound_and_complete());
         assert!(report

@@ -1,6 +1,6 @@
 //! Division-form bound checks for untrusted length fields.
 //!
-//! Every binary format in the workspace (`RLG1`, `RLC2`, `ETC1`, `RSH1`)
+//! Every binary format in the workspace (`RLG1`, `RLC3`, `ETC1`, `RSH1`)
 //! reads declared element counts from untrusted bytes and then sizes
 //! loops and allocations with them. The safe pattern — bound the count by
 //! the bytes actually present, in division form so multiplication can

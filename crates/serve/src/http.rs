@@ -8,7 +8,7 @@
 //! * the head (request line + headers) may not exceed
 //!   [`crate::ServeConfig::max_header_bytes`];
 //! * the declared `Content-Length` is bounded through the same
-//!   division-form [`checked_len`] used by the `RLC2`/`RSH1` decoders
+//!   division-form [`checked_len`] used by the `RLC3`/`RSH1` decoders
 //!   before a single body byte is believed;
 //! * reading runs against an **absolute deadline** — a slow-loris client
 //!   trickling one byte per poll still hits the cutoff, because each

@@ -32,7 +32,7 @@
 //!   concurrent same-constraint requests prepare once and share grouped
 //!   traversals.
 //! * **Hot swap** ([`swap`]): the serving index lives in an [`IndexSlot`]
-//!   epoch slot. `POST /admin/reload` loads an `RLC2`/`RSH1` blob and swaps
+//!   epoch slot. `POST /admin/reload` loads an `RLC3`/`RSH1` blob and swaps
 //!   it in; in-flight batches finish on the epoch they snapshotted, and
 //!   every response carries the generation stamp it was answered under, so
 //!   clients (and the e2e tests) can prove no stale answer crossed a swap.

@@ -8,7 +8,7 @@
 //! |----------------------|-----------------------------|------------------------------------------------|
 //! | `POST /query`        | a `Query` JSON object       | `{"ok":true,"answer":b,"generation":g}`        |
 //! | `POST /batch`        | `{"queries":[Query,…]}`     | `{"ok":true,"answers":[…],"generation":g}`     |
-//! | `POST /admin/reload` | raw `RLC2`/`RSH1` blob      | `{"ok":true,"generation":g}`                   |
+//! | `POST /admin/reload` | raw `RLC3`/`RSH1` blob      | `{"ok":true,"generation":g}`                   |
 //! | `GET /healthz`       | —                           | `{"ok":true,"generation":g}`                   |
 //! | `GET /metrics`       | —                           | text: `name value` lines                       |
 //!

@@ -1,7 +1,7 @@
 //! Hot index swap: the epoch slot serving requests point at.
 //!
 //! An [`Epoch`] is one immutable serving configuration — the graph plus a
-//! resident index (single `RLC2` or sharded `RSH1`) — identified by its
+//! resident index (single `RLC3` or sharded `RSH1`) — identified by its
 //! [`Generation`] stamp. The [`IndexSlot`] holds the current epoch behind
 //! an `Arc`; readers take an O(1) snapshot and keep answering on it even
 //! while `POST /admin/reload` swaps a new epoch in, so a reload never
@@ -22,13 +22,6 @@ use rlc_graph::LabeledGraph;
 use rlc_shard::{ShardedEngine, ShardedIndex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// `RLC2` single-index magic, little-endian (see `rlc_core::index`).
-const RLC2_MAGIC: u32 = 0x524C_4332;
-/// `RLC1` legacy single-index magic — `RlcIndex::from_bytes` migrates it.
-const RLC1_MAGIC: u32 = 0x524C_4331;
-/// `RSH1` sharded-manifest magic (see `rlc_shard::persist`).
-const RSH1_MAGIC: u32 = 0x5253_4831;
 
 /// One immutable serving configuration: a graph and a resident index.
 pub enum Epoch {
@@ -102,8 +95,9 @@ impl Epoch {
         }
     }
 
-    /// Resident bytes of the CSR projection, where the index keeps one
-    /// (the sharded index has no combined CSR to price).
+    /// The single index's CSR-layout bytes — the packed layout is the
+    /// resident one, so this equals [`Epoch::index_bytes`] there (the
+    /// sharded index has no combined CSR to price).
     pub fn csr_index_bytes(&self) -> Option<usize> {
         match self {
             Epoch::Rlc { index, .. } => Some(index.csr_memory_bytes()),
@@ -121,36 +115,28 @@ impl Epoch {
         }
     }
 
-    /// Loads an index blob for `graph`, dispatching on the magic: `RLC2`
-    /// (or legacy `RLC1`) loads a single index, `RSH1` a sharded manifest.
-    /// Both decoders fully validate the blob (the `RSH1` path additionally
-    /// pins it to `graph` by topology digest; for `RLC2`, which predates
-    /// the digest, the vertex count is cross-checked here). The loaded
-    /// index mints a fresh in-process generation, so a reload is always
-    /// observable as a stamp change.
+    /// Loads an index blob for `graph`: a blob opening with the `RSH1`
+    /// magic is a sharded manifest, anything else goes to
+    /// [`RlcIndex::from_bytes`], which owns the single-index format, its
+    /// magic and its version errors. Both decoders fully validate the blob
+    /// (the `RSH1` path additionally pins it to `graph` by topology digest;
+    /// the single-index format carries no digest, so its vertex count is
+    /// cross-checked here). The loaded index mints a fresh in-process
+    /// generation, so a reload is always observable as a stamp change.
     pub fn from_blob(graph: &Arc<LabeledGraph>, bytes: &[u8]) -> Result<Epoch, String> {
-        let magic = match bytes.get(..4) {
-            Some([a, b, c, d]) => u32::from_le_bytes([*a, *b, *c, *d]),
-            _ => return Err("index blob shorter than its 4-byte magic".to_owned()),
-        };
-        match magic {
-            RLC2_MAGIC | RLC1_MAGIC => {
-                let index = RlcIndex::from_bytes(bytes)?;
-                if index.vertex_count() != graph.vertex_count() {
-                    return Err(format!(
-                        "index blob covers {} vertices but the serving graph has {}",
-                        index.vertex_count(),
-                        graph.vertex_count()
-                    ));
-                }
-                Ok(Epoch::rlc(Arc::clone(graph), index))
-            }
-            RSH1_MAGIC => ShardedIndex::from_bytes(bytes, graph)
-                .map(|index| Epoch::sharded(Arc::clone(graph), index)),
-            other => Err(format!(
-                "unrecognized index blob magic {other:#010x} (expected RLC2 or RSH1)"
-            )),
+        if bytes.starts_with(&rlc_shard::MANIFEST_MAGIC.to_le_bytes()) {
+            return ShardedIndex::from_bytes(bytes, graph)
+                .map(|index| Epoch::sharded(Arc::clone(graph), index));
         }
+        let index = RlcIndex::from_bytes(bytes)?;
+        if index.vertex_count() != graph.vertex_count() {
+            return Err(format!(
+                "index blob covers {} vertices but the serving graph has {}",
+                index.vertex_count(),
+                graph.vertex_count()
+            ));
+        }
+        Ok(Epoch::rlc(Arc::clone(graph), index))
     }
 }
 
@@ -243,10 +229,17 @@ mod tests {
         let graph = graph();
         assert!(Epoch::from_blob(&graph, b"")
             .unwrap_err()
-            .contains("shorter than"));
+            .contains("truncated"));
         assert!(Epoch::from_blob(&graph, b"XYZW rest")
             .unwrap_err()
-            .contains("unrecognized"));
+            .contains("bad magic"));
+        // Retired single-index formats are refused by the index loader's
+        // own version error, not by a list of magics kept here.
+        let (index, _) = build_index(&graph, &BuildConfig::new(2));
+        let mut retired = index.to_bytes();
+        retired[..4].copy_from_slice(&0x524C_4332u32.to_le_bytes());
+        let err = Epoch::from_blob(&graph, &retired).unwrap_err();
+        assert!(err.contains("version 2"), "{err}");
         // A valid blob for a *different* graph is refused.
         let mut builder = rlc_graph::GraphBuilder::with_capacity(2, 1);
         builder.add_edge(0, Label(0), 1);

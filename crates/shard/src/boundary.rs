@@ -79,10 +79,7 @@ impl ReachExpander {
                 }
             }
         }
-        for entry in index.lout(v) {
-            if entry.mr != mr {
-                continue;
-            }
+        for entry in index.lout(v).run(mr) {
             // Case 2, Lout side: the hub itself is reachable…
             visit(entry.hub);
             // …and Case 1: every w whose Lin shares the hub. (v ⇝ hub and

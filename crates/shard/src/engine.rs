@@ -197,9 +197,12 @@ impl<'g> ShardedEngine<'g> {
         }
         let shard = self.index.shard(source_shard);
         let local = match last_mrs[source_shard] {
-            Some(mr) => evaluate_blocks_with(shard.graph(), local_source, blocks, |v| {
-                shard.index().query_mr(v, local_target, mr)
-            }),
+            Some(mr) => {
+                let probe = shard.index().target_probe(local_target, mr);
+                evaluate_blocks_with(shard.graph(), local_source, blocks, |v| {
+                    probe.reached_from(v)
+                })
+            }
             None => false,
         };
         if local {
@@ -246,10 +249,13 @@ impl<'g> ShardedEngine<'g> {
                 Some(mr) if blocks.len() == 1 => {
                     shard.index().query_mr(local_source, local_target, mr)
                 }
-                Some(mr) => local_frontier
-                    .get_or_insert_with(|| prefix_frontier(shard.graph(), local_source, blocks))
-                    .iter()
-                    .any(|&v| shard.index().query_mr(v, local_target, mr)),
+                Some(mr) => {
+                    let probe = shard.index().target_probe(local_target, mr);
+                    local_frontier
+                        .get_or_insert_with(|| prefix_frontier(shard.graph(), local_source, blocks))
+                        .iter()
+                        .any(|&v| probe.reached_from(v))
+                }
             };
             if local {
                 answers[i] = Ok(true);

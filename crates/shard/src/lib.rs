@@ -23,7 +23,7 @@
 //! extending PR 4's ABA discipline to the aggregate.
 //!
 //! Sharded indexes persist as `RSH1` manifests (partition map, cut edges,
-//! per-shard `RLC2` blob offsets and digests) with the same hardened
+//! per-shard `RLC3` blob offsets and digests) with the same hardened
 //! validation as the other binary formats in the workspace.
 //!
 //! ## Quick example
@@ -56,3 +56,4 @@ mod persist;
 pub use boundary::{PortalSet, ReachExpander};
 pub use engine::{ShardedEngine, StitchCounts};
 pub use index::{GraphShard, ShardBuildConfig, ShardStats, ShardedIndex, ShardedStats};
+pub use persist::MANIFEST_MAGIC;

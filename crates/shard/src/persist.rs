@@ -2,7 +2,7 @@
 //!
 //! A manifest carries the shard count and recursive `k`, the vertex→shard
 //! assignment, the cut-edge list, and — per shard — the offset, length, and
-//! 64-bit FNV-1a digest of that shard's `RLC2` blob, followed by the blobs
+//! 64-bit FNV-1a digest of that shard's `RLC3` blob, followed by the blobs
 //! themselves. Shard subgraphs are *not* serialized: they are re-derived
 //! from the graph the loader is given, and the loader cross-validates the
 //! manifest against that graph (vertex count, a whole-graph topology
@@ -10,12 +10,12 @@
 //! with the wrong graph — even one differing only in intra-shard edges —
 //! is rejected instead of silently answering for a different topology.
 //!
-//! The loader applies the same hardening discipline as `RLC2`/`ETC1`/`RLG1`:
+//! The loader applies the same hardening discipline as `RLC3`/`ETC1`/`RLG1`:
 //! untrusted size fields are bounded by the bytes actually present
 //! (division form, immune to multiplication overflow) before any loop or
 //! allocation they size, every id is range-checked, shard blob digests must
 //! match, blob offsets must be exactly contiguous, and trailing bytes are
-//! rejected. Loaded shard indexes mint fresh generation stamps (the `RLC2`
+//! rejected. Loaded shard indexes mint fresh generation stamps (the `RLC3`
 //! loader's contract), so a reloaded sharded index can never impersonate
 //! the live one that wrote the manifest.
 
@@ -24,8 +24,10 @@ use rayon::prelude::*;
 use rlc_core::index::RlcIndex;
 use rlc_graph::{Edge, Label, LabeledGraph, Partition};
 
-/// Manifest magic, "RSH1".
-const MAGIC: u32 = 0x5253_4831;
+/// Manifest magic, "RSH1": the first four bytes of every manifest, as a
+/// little-endian `u32`. Public so loaders that accept several blob kinds
+/// (the serving crate's reload) dispatch on it without keeping a copy.
+pub const MANIFEST_MAGIC: u32 = 0x5253_4831;
 
 /// 64-bit FNV-1a over a byte slice — the per-shard blob digest. Not
 /// cryptographic: it catches corruption and mix-ups, not adversaries (the
@@ -72,7 +74,7 @@ impl ShardedIndex {
     /// shard assignment (`u32` each), the cut edges
     /// (`u32` source, `u16` label, `u32` target each, in graph edge order),
     /// the shard table (`u64` blob offset, `u64` blob length, `u64` FNV-1a
-    /// digest per shard), then the concatenated per-shard `RLC2` blobs.
+    /// digest per shard), then the concatenated per-shard `RLC3` blobs.
     ///
     /// Returns an error instead of silently truncating when a field exceeds
     /// its on-disk width.
@@ -84,7 +86,7 @@ impl ShardedIndex {
             .map(|s| s.index.try_to_bytes())
             .collect::<Result<_, _>>()?;
         let mut buf = Vec::new();
-        buf.put_u32_le(MAGIC);
+        buf.put_u32_le(MANIFEST_MAGIC);
         buf.put_u32_le(
             u32::try_from(self.k).map_err(|_| format!("recursive k {} exceeds u32", self.k))?,
         );
@@ -133,7 +135,7 @@ impl ShardedIndex {
     /// range and actually crossing shards, the cut-edge list **equal to the
     /// one recomputed from `graph` and the assignment** (which also pins
     /// the manifest to the right graph), contiguous blob offsets, matching
-    /// digests, per-shard `RLC2` validation, shard `k` and vertex counts
+    /// digests, per-shard `RLC3` validation, shard `k` and vertex counts
     /// consistent with the header and the assignment, and no trailing
     /// bytes. Corrupt or mismatched input yields a descriptive error,
     /// never a silently wrong index.
@@ -152,7 +154,7 @@ impl ShardedIndex {
         };
         check(buf.remaining() >= 36, "header")?;
         let magic = buf.get_u32_le();
-        if magic != MAGIC {
+        if magic != MANIFEST_MAGIC {
             return Err(format!("bad magic {magic:#x}, not an RSH1 shard manifest"));
         }
         let k = buf.get_u32_le() as usize;
@@ -269,7 +271,7 @@ impl ShardedIndex {
             buf = &buf[len..];
             blobs.push((i, blob, digest));
         }
-        // Per-shard digesting and RLC2 validation are independent: fan them
+        // Per-shard digesting and RLC3 validation are independent: fan them
         // out like the build path fans out the per-shard index builds.
         let loaded: Vec<Result<RlcIndex, String>> = blobs
             .par_iter()

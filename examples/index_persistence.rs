@@ -30,9 +30,9 @@ fn main() {
         index.entry_count()
     );
 
-    // Serialize to a compact binary blob (format v2, magic "RLC2") and write
-    // it to a temporary file; `try_to_bytes` reports field overflow instead
-    // of silently truncating.
+    // Serialize to a compact binary blob (format v3, magic "RLC3": the
+    // packed arrays as they sit in memory) and write it to a temporary file;
+    // `try_to_bytes` reports field overflow instead of silently truncating.
     let blob = index.try_to_bytes().expect("index fits the binary format");
     let path = std::env::temp_dir().join("wn-standin.rlc");
     std::fs::write(&path, &blob).expect("write index blob");

@@ -79,7 +79,7 @@ fn main() {
         queries.len()
     );
 
-    // Persist the RSH1 manifest (partition map, cut edges, per-shard RLC2
+    // Persist the RSH1 manifest (partition map, cut edges, per-shard RLC3
     // blobs with digests) and reload it against the same graph.
     let manifest = sharded.try_to_bytes().expect("manifest fits field widths");
     let path = std::env::temp_dir().join("er-3000.rsh");

@@ -348,6 +348,54 @@ fn hot_reload_under_concurrent_load_drops_and_stales_nothing() {
     server.shutdown();
 }
 
+#[test]
+fn reload_swaps_in_an_rlc3_blob() {
+    let (graph, server) = boot(2);
+    let addr = server.addr();
+    let gen_old = server.slot().generation_value();
+    let (k3, _) = build_index(&graph, &BuildConfig::new(3));
+    let blob = k3.to_bytes();
+    assert_eq!(&blob[..4], b"3CLR", "little-endian \"RLC3\" magic");
+    let (status, body) = exchange(addr, "POST", "/admin/reload", &blob);
+    assert_eq!(status, 200, "reload must succeed: {body}");
+    let gen_new = json_u64(&body, "generation").expect("reload reports the new stamp");
+    assert_ne!(gen_new, gen_old);
+    // The reloaded index serves: a three-label constraint only k = 3 takes,
+    // answered like the index the blob came from.
+    let expected = IndexEngine::new(&graph, &k3)
+        .evaluate(&Query::rlc(0, 5, vec![Label(0), Label(1), Label(2)]).unwrap())
+        .unwrap();
+    let (status, body) = exchange(addr, "POST", "/query", &query_body(0, 5, &[0, 1, 2]));
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(&format!("\"answer\":{expected}")), "{body}");
+    assert_eq!(json_u64(&body, "generation"), Some(gen_new));
+    server.shutdown();
+}
+
+#[test]
+fn reload_refuses_retired_formats_with_a_version_error() {
+    let (graph, server) = boot(2);
+    let addr = server.addr();
+    let gen_old = server.slot().generation_value();
+    let (index, _) = build_index(&graph, &BuildConfig::new(2));
+    for (magic, version) in [(b"2CLR", "version 2"), (b"1CLR", "version 1")] {
+        let mut blob = index.to_bytes();
+        blob[..4].copy_from_slice(magic);
+        let (status, body) = exchange(addr, "POST", "/admin/reload", &blob);
+        assert_eq!(status, 400, "a retired format is a client error: {body}");
+        assert!(
+            body.contains(version),
+            "the index loader's own version error is served: {body}"
+        );
+    }
+    assert!(server.metrics().get(rlc::serve::Counter::ReloadFailures) >= 2);
+    // Nothing was swapped and the server still answers on the old epoch.
+    let (status, body) = exchange(addr, "POST", "/query", &query_body(0, 5, &[1]));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_u64(&body, "generation"), Some(gen_old));
+    server.shutdown();
+}
+
 /// Minimal structural JSON validator — objects, arrays, strings, numbers,
 /// literals — enough to prove a served body is well-formed JSON without a
 /// JSON dependency in the test (the client must share no code with the
