@@ -3,8 +3,8 @@
 //! `--quick` for a smoke run.
 
 use rlc_bench::experiments::{
-    ablation, batch, batch_planner, build_scaling, fig3, fig4, fig5, fig6, fig7, plan_cache,
-    serve_latency, shard_scaling, simd_vs_generic, table3, table4, table5,
+    ablation, batch, batch_planner, fig3, fig4, fig5, fig6, fig7, plan_cache, serve_latency,
+    shard_scaling, simd_vs_generic, table3, table4, table5,
 };
 use rlc_bench::CommonArgs;
 
@@ -36,7 +36,6 @@ fn main() {
         ("Batch planner", "batch_planner", batch_planner::run),
         ("Plan cache", "plan_cache", plan_cache::run),
         ("Serve latency", "serve_latency", serve_latency::run),
-        ("Build scaling", "build_scaling", build_scaling::run),
         ("Shard scaling", "shard_scaling", shard_scaling::run),
         ("SIMD vs generic", "simd_vs_generic", simd_vs_generic::run),
     ];

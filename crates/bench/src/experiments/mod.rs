@@ -19,7 +19,6 @@
 //! | [`batch`] | parallel batch-query throughput (not from the paper) |
 //! | [`batch_planner`] | planned vs naive batch evaluation under constraint reuse (not from the paper) |
 //! | [`plan_cache`] | cross-batch plan caching over repeated mixed batches (not from the paper) |
-//! | [`build_scaling`] | parallel index-build thread sweep (not from the paper) |
 //! | [`serve_latency`] | open-loop latency/shedding sweep of the `rlc-serve` HTTP front end (not from the paper) |
 //! | [`shard_scaling`] | sharded-engine shard-count sweep with answer-identity assertions (not from the paper) |
 //! | [`simd_vs_generic`] | forced-backend frontier-kernel sweep with per-row answer-identity assertions (not from the paper) |
@@ -27,7 +26,6 @@
 pub mod ablation;
 pub mod batch;
 pub mod batch_planner;
-pub mod build_scaling;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
@@ -102,7 +100,6 @@ mod tests {
             batch_planner::run_with(&args, 400),
             plan_cache::run_with(&args, 400),
             serve_latency::run_with(&args, 30),
-            build_scaling::run_with(&args, 400),
             shard_scaling::run_with(&args, 400),
             simd_vs_generic::run_with(&args, &[250]),
         ] {

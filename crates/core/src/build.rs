@@ -23,40 +23,18 @@
 //! from the current snapshot of the index). The combination yields a sound,
 //! complete and condensed index (Theorems 2 and 3).
 //!
-//! # Parallel construction
-//!
-//! With [`BuildConfig::parallel`] the build fans the kernel-based searches
-//! out across worker threads while staying **byte-identical** to the
-//! sequential build. The vertex order is partitioned into consecutive
-//! *access-id blocks* ([`crate::order::VertexOrder::blocks`]); for each
-//! block:
-//!
-//! 1. **Speculative exploration (parallel).** Every root of the block runs
-//!    its backward and forward searches against an immutable snapshot of the
-//!    index (the state at the block boundary), with a per-thread
-//!    epoch-stamped scratch. Phase-1 enumeration never depends on the index,
-//!    so its insertion attempts are recorded verbatim; each kernel BFS
-//!    explores with PR3 cuts driven by the *stale* snapshot — a superset of
-//!    the exact exploration, because answerability only grows as the index
-//!    fills in — and records its label-matched transitions.
-//! 2. **Deterministic merge (sequential).** Roots are replayed in access-id
-//!    order against the live index: phase-1 attempts are re-applied through
-//!    the real PR1/PR2/duplicate checks, and each kernel BFS is re-run over
-//!    the recorded transitions (a superset of what the exact search needs),
-//!    with cuts now driven by the up-to-date index.
-//!
-//! Because every pruning decision is re-made against exactly the state the
-//! sequential build would have seen, the merged index — entry lists, catalog
-//! intern order, and [`BuildStats`] counters — is identical to the
-//! sequential result for any thread count and block size. (Builds that hit a
-//! wall-clock budget are the exception: where the budget lands depends on
-//! timing in either mode.)
+//! The build is sequential by design: roots run in access-id order, and
+//! every PR1 decision reads the entries all earlier roots inserted, so a
+//! root cannot be decided before its predecessors finish. The result —
+//! entry lists, catalog intern order and [`BuildStats`] counters — is
+//! therefore a pure function of the graph and the configuration (builds
+//! that hit a wall-clock budget excepted).
 //!
 //! # Staging and packing
 //!
-//! Both modes append entries to [`Staging`], this module's private
+//! The builder appends entries to [`Staging`], this module's private
 //! nested-list form of the index — hubs arrive in access-id order, so every
-//! list is append-only — and probe it for PR1. After the last root,
+//! list is append-only — and probes it for PR1. After the last root,
 //! [`build_index`] packs the lists once into the CSR layout of
 //! [`RlcIndex`]; nothing outside this module sees the staging form.
 
@@ -64,7 +42,6 @@ use crate::catalog::{MrCatalog, MrId};
 use crate::index::{IndexEntry, RlcIndex};
 use crate::order::{compute_order, OrderingStrategy, VertexOrder};
 use crate::repeats::minimum_repeat_len;
-use rayon::prelude::*;
 use rlc_graph::{Label, LabeledGraph, VertexId};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry as MapEntry;
@@ -106,19 +83,6 @@ pub struct BuildConfig {
     /// Abort the build after this wall-clock budget (partial index returned,
     /// [`BuildStats::timed_out`] set). Mirrors the paper's 24-hour cap.
     pub time_budget: Option<Duration>,
-    /// Abort the build when the entry count exceeds this bound.
-    pub max_entries: Option<usize>,
-    /// Run the block-parallel build (see the module docs); the result is
-    /// byte-identical to the sequential build for any thread count.
-    pub parallel: bool,
-    /// Worker threads for the parallel build; `None` uses the rayon thread
-    /// count (`RAYON_NUM_THREADS` when set, available CPUs otherwise).
-    pub num_threads: Option<usize>,
-    /// Roots per access-id block in the parallel build; `None` picks a block
-    /// size proportional to the thread count. Larger blocks amortize fan-out
-    /// overhead but stale the snapshot (more speculative over-exploration);
-    /// the choice never affects the produced index.
-    pub block_size: Option<usize>,
 }
 
 impl BuildConfig {
@@ -132,10 +96,6 @@ impl BuildConfig {
             use_pr2: true,
             use_pr3: true,
             time_budget: None,
-            max_entries: None,
-            parallel: false,
-            num_threads: None,
-            block_size: None,
         }
     }
 
@@ -166,23 +126,11 @@ impl BuildConfig {
         self
     }
 
-    /// Enables the block-parallel build with the default thread count (see
-    /// [`crate::engine::build_threads`]).
-    pub fn with_parallel(mut self) -> Self {
-        self.parallel = true;
-        self
-    }
-
-    /// Enables the block-parallel build with an explicit worker count.
-    pub fn with_threads(mut self, num_threads: usize) -> Self {
-        self.parallel = true;
-        self.num_threads = Some(num_threads);
-        self
-    }
-
-    /// Sets the access-id block size of the parallel build.
-    pub fn with_block_size(mut self, block_size: usize) -> Self {
-        self.block_size = Some(block_size);
+    /// Returns `self` unchanged: the build is sequential (see the module
+    /// docs), so there is no thread count to set. Kept only because the
+    /// repo benchmark still calls it; a later benchmark change drops that
+    /// call, and then this method goes too.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 }
@@ -214,8 +162,7 @@ pub struct BuildStats {
     pub duplicates: u64,
     /// Kernel-BFS branches cut by PR3.
     pub pr3_cutoffs: u64,
-    /// Whether the build hit its time or entry budget and returned a partial
-    /// index.
+    /// Whether the build hit its time budget and returned a partial index.
     pub timed_out: bool,
 }
 
@@ -245,11 +192,7 @@ fn build_staging(
         scratch: Scratch::new(graph.vertex_count(), config.k),
         deadline: config.time_budget.map(|b| started + b),
     };
-    if config.parallel {
-        builder.run_parallel();
-    } else {
-        builder.run();
-    }
+    builder.run();
     (builder.staging, builder.stats)
 }
 
@@ -320,17 +263,6 @@ impl Staging {
         false
     }
 
-    /// [`Staging::query_interned`] for a minimum repeat given as labels.
-    /// Parallel build workers call this against the lists frozen at the
-    /// block boundary (a plain shared borrow: the block-parallel build never
-    /// mutates them while workers hold it).
-    fn answerable(&self, s: VertexId, t: VertexId, mr: &[Label]) -> bool {
-        match self.catalog.resolve(mr) {
-            None => false,
-            Some(id) => self.query_interned(s, t, id),
-        }
-    }
-
     /// Packs the staged lists into the index proper. Rows are consumed one
     /// by one, so each list is freed as soon as it is packed.
     fn pack(self, k: usize) -> RlcIndex {
@@ -342,13 +274,6 @@ impl RlcIndex {
     /// Builds the index with the paper's default settings for the given `k`.
     pub fn build(graph: &LabeledGraph, k: usize) -> RlcIndex {
         build_index(graph, &BuildConfig::new(k)).0
-    }
-
-    /// Builds the index with the paper's default settings using the
-    /// block-parallel build; the result is byte-identical to
-    /// [`RlcIndex::build`].
-    pub fn build_parallel(graph: &LabeledGraph, k: usize) -> RlcIndex {
-        build_index(graph, &BuildConfig::new(k).with_parallel()).0
     }
 }
 
@@ -381,9 +306,7 @@ impl InsertOutcome {
     }
 }
 
-/// Reusable visited-state table for kernel-BFS phases, shared by the
-/// sequential builder, the merge replay, and (one per worker thread) the
-/// parallel speculative exploration.
+/// Reusable visited-state table for kernel-BFS phases.
 struct Scratch {
     /// The recursive `k` the table is sized for.
     k: usize,
@@ -427,44 +350,6 @@ impl Scratch {
     }
 }
 
-/// A [`Scratch`] checked out of a shared pool for the duration of one
-/// worker's block chunk; returned on drop so the next block's workers reuse
-/// it instead of allocating (and zeroing) a fresh `|V| * k` table.
-struct PooledScratch<'p> {
-    scratch: Option<Scratch>,
-    pool: &'p std::sync::Mutex<Vec<Scratch>>,
-}
-
-impl<'p> PooledScratch<'p> {
-    fn acquire(pool: &'p std::sync::Mutex<Vec<Scratch>>, vertices: usize, k: usize) -> Self {
-        // Poison recovery: the pool is a plain Vec of reusable buffers, and
-        // every user resets its scratch before use, so a panic between lock
-        // and pop can never leave the pool in a state worth dying over.
-        let scratch = pool
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop()
-            .unwrap_or_else(|| Scratch::new(vertices, k));
-        PooledScratch {
-            scratch: Some(scratch),
-            pool,
-        }
-    }
-
-    fn get_mut(&mut self) -> &mut Scratch {
-        // rlc-analyze: allow(panic-free-library) — the Option is Some from construction until Drop takes it; no caller can observe the in-between
-        self.scratch.as_mut().expect("scratch present until drop")
-    }
-}
-
-impl Drop for PooledScratch<'_> {
-    fn drop(&mut self) {
-        if let (Some(scratch), Ok(mut pool)) = (self.scratch.take(), self.pool.lock()) {
-            pool.push(scratch);
-        }
-    }
-}
-
 struct Builder<'g> {
     graph: &'g LabeledGraph,
     config: BuildConfig,
@@ -488,179 +373,9 @@ impl<'g> Builder<'g> {
         }
     }
 
-    /// The block-parallel build (see the module docs): speculative parallel
-    /// exploration per access-id block, then a deterministic sequential merge
-    /// that replays every pruning decision against the live index.
-    fn run_parallel(&mut self) {
-        let threads = crate::engine::build_threads(&self.config);
-        if threads == 1 || self.config.max_entries.is_some() {
-            // One worker means nothing to overlap, and an entry budget is
-            // only enforced by the merge — workers would speculatively
-            // explore whole blocks the merge then discards. Both cases
-            // produce a byte-identical result either way, so take the
-            // sequential path directly.
-            return self.run();
-        }
-        let block_size = self.config.block_size.unwrap_or((threads * 8).max(32));
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            // rlc-analyze: allow(panic-free-library) — the vendored stand-in's build() is documented to never fail; the Result only mirrors upstream rayon's signature
-            .expect("thread pool construction cannot fail");
-        // Worker scratches are pooled across blocks: the vendored rayon
-        // spawns fresh scoped threads per block, so a plain `map_init` would
-        // re-allocate a |V| * k table per thread per block. At most `threads`
-        // scratches ever exist; the epoch stamps make reuse free.
-        let scratch_pool: std::sync::Mutex<Vec<Scratch>> = std::sync::Mutex::new(Vec::new());
-        let order = self.staging.order.clone();
-        'blocks: for block in order.blocks(block_size) {
-            if self.budget_exhausted() {
-                self.stats.timed_out = true;
-                break;
-            }
-            let records: Vec<RootRecord> = {
-                // Spans (inert unless the global observability registry is
-                // enabled) split the block-parallel build's wall-time into
-                // its two phases: speculative exploration vs merge replay.
-                let _span = rlc_obs::span!("rlc_build_explore_seconds");
-                let graph = self.graph;
-                let config = self.config;
-                let deadline = self.deadline;
-                // The block's workers share the index frozen at the block
-                // boundary; the merge below is the only writer and runs
-                // strictly after this borrow ends.
-                let snapshot = &self.staging;
-                let vertices = graph.vertex_count();
-                pool.install(|| {
-                    block
-                        .par_iter()
-                        .map_init(
-                            || PooledScratch::acquire(&scratch_pool, vertices, config.k),
-                            |pooled, &root| {
-                                explore_root(
-                                    graph,
-                                    &config,
-                                    snapshot,
-                                    deadline,
-                                    pooled.get_mut(),
-                                    root,
-                                )
-                            },
-                        )
-                        .collect()
-                })
-            };
-            let _span = rlc_obs::span!("rlc_build_merge_seconds");
-            for record in &records {
-                if self.budget_exhausted() {
-                    self.stats.timed_out = true;
-                    break 'blocks;
-                }
-                self.replay_root(record);
-                if record.timed_out {
-                    self.stats.timed_out = true;
-                    break 'blocks;
-                }
-            }
-        }
-    }
-
-    /// Merges one root's speculative exploration into the live index,
-    /// re-making every pruning decision exactly as the sequential build
-    /// would: phase-1 attempts replay through [`Builder::try_insert`] in
-    /// enumeration order, kernel BFS phases replay over the recorded
-    /// transition superset.
-    fn replay_root(&mut self, record: &RootRecord) {
-        for (dir, search) in [
-            (Direction::Backward, &record.backward),
-            (Direction::Forward, &record.forward),
-        ] {
-            self.stats.kernel_searches += 1;
-            for attempt in &search.phase1 {
-                let mr = record.catalog.sequence(attempt.mr);
-                // Phase-1 insertion attempts never cut the search, exactly as
-                // in the sequential phase 1.
-                let _ = self.try_insert(record.root, attempt.visited, mr, dir);
-            }
-            for phase in &search.phases {
-                self.stats.kernel_bfs_runs += 1;
-                self.replay_kernel_bfs(
-                    record.root,
-                    dir,
-                    record.catalog.sequence(phase.kernel),
-                    phase,
-                );
-            }
-        }
-    }
-
-    /// Re-runs one kernel BFS over the transitions recorded by the worker.
-    ///
-    /// The recorded adjacency is a superset of what this exact search
-    /// traverses (the worker's stale snapshot prunes at most as often as the
-    /// live index, so it explored at least as far), which makes this loop
-    /// behaviorally identical to [`Builder::kernel_bfs_phase`] on the full
-    /// graph — same BFS order, same insertion attempts, same PR3 cuts — at
-    /// the cost of a hash lookup instead of a neighbor scan.
-    fn replay_kernel_bfs(
-        &mut self,
-        root: VertexId,
-        dir: Direction,
-        kernel: &[Label],
-        phase: &PhaseRecord,
-    ) {
-        let klen = kernel.len();
-        self.scratch.begin_phase();
-        let mut queue: VecDeque<(VertexId, usize)> = VecDeque::new();
-        for &v in &phase.frontier {
-            if !self.scratch.mark(v, 0) {
-                queue.push_back((v, 0));
-            }
-        }
-        let mut steps = 0u32;
-        while let Some((x, state)) = queue.pop_front() {
-            steps += 1;
-            if steps.is_multiple_of(4096) && self.budget_exhausted() {
-                self.stats.timed_out = true;
-                return;
-            }
-            let Some(matched) = phase.edges.get(&(x, state as u32)) else {
-                continue;
-            };
-            for &y in matched {
-                let next_state = (state + 1) % klen;
-                if self.scratch.visited(y, next_state) {
-                    continue;
-                }
-                self.scratch.mark(y, next_state);
-                if next_state == 0 {
-                    let outcome = self.try_insert(root, y, kernel, dir);
-                    if outcome.is_pruned() {
-                        self.stats.pr3_cutoffs += 1;
-                        if self.config.use_pr3 {
-                            continue;
-                        }
-                    }
-                    queue.push_back((y, 0));
-                } else {
-                    queue.push_back((y, next_state));
-                }
-            }
-        }
-    }
-
     fn budget_exhausted(&self) -> bool {
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return true;
-            }
-        }
-        if let Some(max_entries) = self.config.max_entries {
-            if self.stats.inserted as usize >= max_entries {
-                return true;
-            }
-        }
-        false
+        self.deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
     }
 
     fn neighbors(&self, v: VertexId, dir: Direction) -> rlc_graph::graph::OutEdges<'g> {
@@ -862,281 +577,6 @@ impl<'g> Builder<'g> {
         }
         self.stats.inserted += 1;
         InsertOutcome::Inserted
-    }
-}
-
-/// An insertion attempt recorded by a worker's phase-1 enumeration, with the
-/// minimum repeat interned in the record's worker-local catalog.
-struct RecordedAttempt {
-    visited: VertexId,
-    mr: MrId,
-}
-
-/// One speculatively explored kernel BFS: the kernel (worker-local id), the
-/// frontier it started from, and the label-matched transitions of the
-/// superset exploration, keyed by `(vertex, kernel state)` with targets in
-/// neighbor-iteration order.
-struct PhaseRecord {
-    kernel: MrId,
-    frontier: Vec<VertexId>,
-    edges: HashMap<(VertexId, u32), Vec<VertexId>>,
-}
-
-/// One direction of a root's kernel-based search, as recorded by a worker.
-struct SearchRecord {
-    phase1: Vec<RecordedAttempt>,
-    phases: Vec<PhaseRecord>,
-}
-
-/// Everything a worker recorded about one root, ready for the sequential
-/// merge.
-struct RootRecord {
-    root: VertexId,
-    /// Worker-local interner naming the minimum repeats of this record; the
-    /// merge resolves ids through it and re-interns into the real catalog in
-    /// replay order, so global catalog ids stay identical to the sequential
-    /// build.
-    catalog: MrCatalog,
-    backward: SearchRecord,
-    forward: SearchRecord,
-    /// The worker hit the wall-clock budget mid-exploration; the record is
-    /// partial and the merge stops after replaying it.
-    timed_out: bool,
-}
-
-/// Speculative per-root exploration against a frozen index snapshot.
-struct Explorer<'a> {
-    graph: &'a LabeledGraph,
-    config: &'a BuildConfig,
-    snapshot: &'a Staging,
-    scratch: &'a mut Scratch,
-    catalog: MrCatalog,
-    /// `(visited, local mr, is-forward)` facts this root has speculatively
-    /// inserted — the stand-in for the sequential tail-scan duplicate check,
-    /// which only ever sees the current root's own entries.
-    inserted: HashSet<(VertexId, MrId, bool)>,
-    deadline: Option<Instant>,
-    timed_out: bool,
-}
-
-/// Runs both kernel-based searches of `root` against `snapshot`, recording
-/// phase-1 attempts and kernel-BFS transitions for the merge.
-fn explore_root(
-    graph: &LabeledGraph,
-    config: &BuildConfig,
-    snapshot: &Staging,
-    deadline: Option<Instant>,
-    scratch: &mut Scratch,
-    root: VertexId,
-) -> RootRecord {
-    let mut explorer = Explorer {
-        graph,
-        config,
-        snapshot,
-        scratch,
-        catalog: MrCatalog::new(),
-        inserted: HashSet::new(),
-        deadline,
-        timed_out: false,
-    };
-    let backward = explorer.explore_search(root, Direction::Backward);
-    let forward = explorer.explore_search(root, Direction::Forward);
-    RootRecord {
-        root,
-        catalog: explorer.catalog,
-        backward,
-        forward,
-        timed_out: explorer.timed_out,
-    }
-}
-
-impl<'a> Explorer<'a> {
-    fn neighbors(&self, v: VertexId, dir: Direction) -> rlc_graph::graph::OutEdges<'a> {
-        match dir {
-            Direction::Backward => self.graph.in_edges(v),
-            Direction::Forward => self.graph.out_edges(v),
-        }
-    }
-
-    fn deadline_exceeded(&self) -> bool {
-        self.deadline
-            .is_some_and(|deadline| Instant::now() >= deadline)
-    }
-
-    /// The worker-side stand-in for [`Builder::try_insert`]: decides against
-    /// the *stale* snapshot (plus this root's own speculative insertions)
-    /// whether an attempt would be pruned. Because the snapshot holds a
-    /// subset of the entries the live index will hold at merge time, and
-    /// answerability only grows with entries, a speculative "pruned" verdict
-    /// implies the merge's verdict — which is what makes cutting on it safe.
-    fn speculative_pruned(
-        &mut self,
-        root: VertexId,
-        visited: VertexId,
-        mr: MrId,
-        dir: Direction,
-    ) -> bool {
-        let order = &self.snapshot.order;
-        if self.config.use_pr2 && order.aid(root) > order.aid(visited) {
-            return true;
-        }
-        let key = (visited, mr, matches!(dir, Direction::Forward));
-        if self.inserted.contains(&key) {
-            return true;
-        }
-        if self.config.use_pr1 {
-            let (s, t) = match dir {
-                Direction::Backward => (visited, root),
-                Direction::Forward => (root, visited),
-            };
-            if self.snapshot.answerable(s, t, self.catalog.sequence(mr)) {
-                return true;
-            }
-        }
-        self.inserted.insert(key);
-        false
-    }
-
-    /// Mirror of [`Builder::kernel_based_search`] that records instead of
-    /// inserting.
-    fn explore_search(&mut self, root: VertexId, dir: Direction) -> SearchRecord {
-        let (phase1, frontiers) = self.explore_phase1(root, dir);
-        let mut phases = Vec::with_capacity(frontiers.len());
-        for (kernel, frontier) in frontiers {
-            if self.timed_out {
-                break;
-            }
-            phases.push(self.explore_kernel_bfs(root, dir, &kernel, &frontier));
-        }
-        SearchRecord { phase1, phases }
-    }
-
-    /// Mirror of [`Builder::kernel_search_phase`]. Phase-1 exploration never
-    /// consults the index, so the recorded attempts and frontiers are
-    /// exactly the sequential ones; the speculative prune verdicts are
-    /// tracked only to seed [`Explorer::inserted`] for later cut decisions.
-    #[allow(clippy::type_complexity)]
-    fn explore_phase1(
-        &mut self,
-        root: VertexId,
-        dir: Direction,
-    ) -> (Vec<RecordedAttempt>, Vec<(Vec<Label>, Vec<VertexId>)>) {
-        let k = self.config.k;
-        let depth_limit = match self.config.strategy {
-            KbsStrategy::Eager => k,
-            KbsStrategy::Lazy => 2 * k,
-        };
-        let mut attempts: Vec<RecordedAttempt> = Vec::new();
-        let mut frontiers: HashMap<Vec<Label>, Vec<VertexId>> = HashMap::new();
-        let mut seen: HashSet<(VertexId, Vec<Label>)> = HashSet::new();
-        let mut queue: VecDeque<(VertexId, Vec<Label>)> = VecDeque::new();
-        queue.push_back((root, Vec::new()));
-
-        while let Some((x, seq)) = queue.pop_front() {
-            for (y, label) in self.neighbors(x, dir) {
-                let mut extended = Vec::with_capacity(seq.len() + 1);
-                match dir {
-                    Direction::Backward => {
-                        extended.push(label);
-                        extended.extend_from_slice(&seq);
-                    }
-                    Direction::Forward => {
-                        extended.extend_from_slice(&seq);
-                        extended.push(label);
-                    }
-                }
-                if !seen.insert((y, extended.clone())) {
-                    continue;
-                }
-                let mr_len = minimum_repeat_len(&extended);
-                if mr_len <= k {
-                    let mr = self.catalog.intern(&extended[..mr_len]);
-                    let _ = self.speculative_pruned(root, y, mr, dir);
-                    attempts.push(RecordedAttempt { visited: y, mr });
-                    if extended.len() + mr_len > depth_limit {
-                        match frontiers.entry(extended[..mr_len].to_vec()) {
-                            MapEntry::Occupied(mut o) => o.get_mut().push(y),
-                            MapEntry::Vacant(v) => {
-                                v.insert(vec![y]);
-                            }
-                        }
-                    }
-                }
-                if extended.len() < depth_limit {
-                    queue.push_back((y, extended));
-                }
-            }
-        }
-        let mut result: Vec<(Vec<Label>, Vec<VertexId>)> = frontiers.into_iter().collect();
-        // Same deterministic kernel order as the sequential build.
-        result.sort();
-        (attempts, result)
-    }
-
-    /// Mirror of [`Builder::kernel_bfs_phase`] with cuts driven by the stale
-    /// snapshot, recording every label-matched transition of each expanded
-    /// state so the merge can replay the exact search.
-    fn explore_kernel_bfs(
-        &mut self,
-        root: VertexId,
-        dir: Direction,
-        kernel: &[Label],
-        frontier: &[VertexId],
-    ) -> PhaseRecord {
-        let klen = kernel.len();
-        let kernel_local = self.catalog.intern(kernel);
-        self.scratch.begin_phase();
-        let mut edges: HashMap<(VertexId, u32), Vec<VertexId>> = HashMap::new();
-        let mut queue: VecDeque<(VertexId, usize)> = VecDeque::new();
-        for &v in frontier {
-            if !self.scratch.mark(v, 0) {
-                queue.push_back((v, 0));
-            }
-        }
-        let mut steps = 0u32;
-        while let Some((x, state)) = queue.pop_front() {
-            steps += 1;
-            if steps.is_multiple_of(4096) && self.deadline_exceeded() {
-                self.timed_out = true;
-                break;
-            }
-            let expected = match dir {
-                Direction::Forward => kernel[state],
-                Direction::Backward => kernel[klen - 1 - state],
-            };
-            let mut matched: Vec<VertexId> = Vec::new();
-            for (y, label) in self.neighbors(x, dir) {
-                if label != expected {
-                    continue;
-                }
-                matched.push(y);
-                let next_state = (state + 1) % klen;
-                if self.scratch.visited(y, next_state) {
-                    continue;
-                }
-                self.scratch.mark(y, next_state);
-                if next_state == 0 {
-                    // A speculative prune implies the merge will prune too,
-                    // so cutting here can only under-cut relative to the
-                    // exact search — the recorded transitions stay a
-                    // superset of what the merge replays.
-                    if self.speculative_pruned(root, y, kernel_local, dir) && self.config.use_pr3 {
-                        continue;
-                    }
-                    queue.push_back((y, 0));
-                } else {
-                    queue.push_back((y, next_state));
-                }
-            }
-            if !matched.is_empty() {
-                edges.insert((x, state as u32), matched);
-            }
-        }
-        PhaseRecord {
-            kernel: kernel_local,
-            frontier: frontier.to_vec(),
-            edges,
-        }
     }
 }
 
@@ -1354,86 +794,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Serialized bytes plus stats with the timing-dependent field zeroed,
-    /// for exact equality comparison across build modes.
-    fn fingerprint(graph: &LabeledGraph, config: &BuildConfig) -> (Vec<u8>, BuildStats) {
-        let (index, stats) = build_index(graph, config);
-        (
-            index.to_bytes(),
-            BuildStats {
-                duration: Duration::ZERO,
-                ..stats
-            },
-        )
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical_across_threads_and_blocks() {
-        let g = fig2_graph();
-        let sequential = fingerprint(&g, &BuildConfig::new(2));
-        for threads in [1, 2, 8] {
-            for block_size in [1, 3, 64] {
-                let config = BuildConfig::new(2)
-                    .with_threads(threads)
-                    .with_block_size(block_size);
-                assert_eq!(
-                    fingerprint(&g, &config),
-                    sequential,
-                    "threads = {threads}, block size = {block_size}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_matches_under_lazy_strategy_and_no_pruning() {
-        let g = fig2_graph();
-        for base in [
-            BuildConfig::new(2).with_strategy(KbsStrategy::Lazy),
-            BuildConfig::new(2).without_pruning(),
-            BuildConfig::new(3),
-        ] {
-            assert_eq!(
-                fingerprint(&g, &base.with_threads(4)),
-                fingerprint(&g, &base),
-                "config {base:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_build_on_cycles_matches() {
-        // The 6-cycle exercises kernel-BFS phases (paths longer than k),
-        // which is where the transition-replay machinery earns its keep.
-        let mut b = GraphBuilder::with_capacity(6, 2);
-        for i in 0..6u32 {
-            b.add_edge(i, Label((i % 2) as u16), (i + 1) % 6);
-        }
-        let g = b.build();
-        assert_eq!(
-            fingerprint(&g, &BuildConfig::new(2).with_threads(3).with_block_size(2)),
-            fingerprint(&g, &BuildConfig::new(2)),
-        );
-    }
-
-    #[test]
-    fn parallel_build_respects_entry_budget() {
-        let g = fig2_graph();
-        let mut config = BuildConfig::new(2).with_threads(2);
-        config.max_entries = Some(3);
-        let (index, stats) = build_index(&g, &config);
-        assert!(stats.timed_out);
-        assert!(index.entry_count() < build_index(&g, &BuildConfig::new(2)).0.entry_count());
-    }
-
-    #[test]
-    fn parallel_build_on_empty_graph() {
-        let g = GraphBuilder::with_capacity(4, 1).build();
-        let (index, stats) = build_index(&g, &BuildConfig::new(2).with_parallel());
-        assert_eq!(index.entry_count(), 0);
-        assert!(!stats.timed_out);
     }
 
     #[test]

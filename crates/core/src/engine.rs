@@ -31,7 +31,6 @@
 //!   closure;
 //! * the three simulated mainstream engines in `rlc-engine-sim`.
 
-use crate::build::BuildConfig;
 use crate::catalog::MrId;
 use crate::hybrid::{evaluate_blocks_grouped_with, evaluate_hybrid_prepared};
 use crate::index::RlcIndex;
@@ -283,17 +282,6 @@ pub enum PlanIdentity {
 /// count: `RAYON_NUM_THREADS` when set, available CPUs otherwise).
 pub fn batch_threads() -> usize {
     rayon::current_num_threads()
-}
-
-/// Number of worker threads a parallel index build under `config` fans out
-/// to: the explicit [`BuildConfig::num_threads`] when set, otherwise the
-/// rayon thread count (`RAYON_NUM_THREADS` when set, available CPUs
-/// otherwise). Always at least 1; a sequential build ignores it.
-pub fn build_threads(config: &BuildConfig) -> usize {
-    config
-        .num_threads
-        .unwrap_or_else(rayon::current_num_threads)
-        .max(1)
 }
 
 /// Counts [`ReachabilityEngine::prepare`] calls on a wrapped engine.

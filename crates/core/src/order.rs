@@ -55,22 +55,6 @@ impl VertexOrder {
     pub fn is_empty(&self) -> bool {
         self.sequence.is_empty()
     }
-
-    /// Partitions the processing sequence into consecutive *access-id blocks*
-    /// of at most `block_size` vertices, in processing order.
-    ///
-    /// The parallel index build runs every kernel-based search of one block
-    /// concurrently against a snapshot of the index frozen at the block
-    /// boundary, then merges the block's results in access-id order; the
-    /// partitioning therefore never reorders vertices, it only groups them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_size` is zero.
-    pub fn blocks(&self, block_size: usize) -> impl Iterator<Item = &[VertexId]> {
-        assert!(block_size > 0, "block size must be at least 1");
-        self.sequence.chunks(block_size)
-    }
 }
 
 /// Computes the processing order of `graph` under `strategy`.
@@ -173,25 +157,6 @@ mod tests {
         let g = fig2_graph();
         let order = compute_order(&g, OrderingStrategy::VertexId);
         assert_eq!(order.sequence, (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn blocks_cover_the_sequence_in_order() {
-        let g = erdos_renyi(&SyntheticConfig::new(100, 2.0, 4, 5));
-        let order = compute_order(&g, OrderingStrategy::InOutDegree);
-        for block_size in [1, 7, 64, 1000] {
-            let rejoined: Vec<VertexId> = order.blocks(block_size).flatten().copied().collect();
-            assert_eq!(rejoined, order.sequence);
-            assert!(order.blocks(block_size).all(|b| b.len() <= block_size));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "block size must be at least 1")]
-    fn zero_block_size_is_rejected() {
-        let g = fig2_graph();
-        let order = compute_order(&g, OrderingStrategy::InOutDegree);
-        let _ = order.blocks(0).count();
     }
 
     #[test]

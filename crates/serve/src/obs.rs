@@ -5,7 +5,7 @@
 //! through the global registry) so concurrent servers — and concurrent
 //! tests — never smear each other's distributions. The global
 //! [`rlc_obs::Registry`] is still rendered into the exposition: the
-//! engine-side span families (`rlc_plan_*`, `rlc_build_*`) and stitch
+//! engine-side span families (`rlc_plan_*`) and stitch
 //! counters (`rlc_stitch_*`) land there, and their names are disjoint
 //! from the `rlc_serve_*`/`plan_cache_*` families by convention.
 //!
@@ -211,8 +211,8 @@ impl ServeObs {
             expo::write_histogram(&mut out, name, &[], &hist.snapshot());
         }
 
-        // The engine-side families: span histograms (rlc_plan_*,
-        // rlc_build_*) and stitch counters (rlc_stitch_*). Their names
+        // The engine-side families: span histograms (rlc_plan_*) and
+        // stitch counters (rlc_stitch_*). Their names
         // are disjoint from everything written above, so the document
         // stays duplicate-free (the e2e smoke test parses it to prove
         // that).

@@ -23,14 +23,11 @@ fn main() {
     );
 
     // Build the index (recursive k = 2, the practical value observed in
-    // real-world query logs) with the block-parallel build — byte-identical
-    // to the sequential build, but fanned out across cores.
-    let config = BuildConfig::new(2).with_parallel();
-    let (index, build_stats) = build_index(&graph, &config);
+    // real-world query logs).
+    let (index, build_stats) = build_index(&graph, &BuildConfig::new(2));
     println!(
-        "built RLC index in {:.2?} on {} threads: {} entries, {:.1} MB ({} attempts pruned by PR1/PR2)",
+        "built RLC index in {:.2?}: {} entries, {:.1} MB ({} attempts pruned by PR1/PR2)",
         build_stats.duration,
-        rlc::index::engine::build_threads(&config),
         index.entry_count(),
         index.stats().memory_megabytes(),
         build_stats.pruned_pr1 + build_stats.pruned_pr2,
