@@ -1,20 +1,19 @@
-//! Minimal command-line parsing shared by the experiment binaries.
+//! Minimal command-line parsing for `run_all`.
 //!
-//! Every binary accepts the same handful of options:
+//! The command line is `[experiment] [options]`: an optional leading
+//! experiment name (see [`crate::experiments::ALL`]) followed by the options
+//! every experiment shares:
 //!
 //! * `--scale <f>` — fraction of the original dataset size to generate for
 //!   the real-graph stand-ins (default `1/64`);
 //! * `--seed <n>` — RNG seed (default 42);
 //! * `--queries <n>` — queries per query set (default 1000, as in the paper);
-//! * `--quick` — shrink everything aggressively for a smoke run;
-//! * `--json` — additionally write a machine-readable `BENCH_<name>.json`
-//!   sidecar (experiment name, arguments, kernel lane, thread count, and
-//!   every report table) next to the plain-text report.
+//! * `--quick` — shrink everything aggressively for a smoke run.
 //!
 //! A tiny hand-rolled parser keeps the workspace free of an argument-parsing
 //! dependency.
 
-/// Options common to all experiment binaries.
+/// Options common to all experiments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommonArgs {
     /// Scale factor applied to the Table III stand-in graphs.
@@ -25,8 +24,6 @@ pub struct CommonArgs {
     pub queries: usize,
     /// Quick mode: shrink sizes so every experiment finishes in seconds.
     pub quick: bool,
-    /// Write a `BENCH_<name>.json` sidecar with the structured results.
-    pub json: bool,
 }
 
 impl Default for CommonArgs {
@@ -36,27 +33,12 @@ impl Default for CommonArgs {
             seed: 42,
             queries: 1000,
             quick: false,
-            json: false,
         }
     }
 }
 
 impl CommonArgs {
-    /// Parses the process arguments, exiting with a usage message on error.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(message) => {
-                eprintln!("{message}");
-                eprintln!(
-                    "usage: <experiment> [--scale <f>] [--seed <n>] [--queries <n>] [--quick] [--json]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parses an explicit argument list (testable entry point).
+    /// Parses an explicit option list (testable entry point).
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut parsed = CommonArgs::default();
         let mut iter = args.into_iter();
@@ -84,7 +66,6 @@ impl CommonArgs {
                         .map_err(|_| format!("invalid --queries value {value:?}"))?;
                 }
                 "--quick" => parsed.quick = true,
-                "--json" => parsed.json = true,
                 other => return Err(format!("unknown option {other:?}")),
             }
         }
@@ -94,6 +75,16 @@ impl CommonArgs {
         }
         Ok(parsed)
     }
+}
+
+/// Splits a `run_all` command line into its optional leading experiment
+/// name and the parsed common options.
+pub fn parse_command_line(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(Option<String>, CommonArgs), String> {
+    let mut args = args.into_iter().peekable();
+    let experiment = args.next_if(|arg| !arg.starts_with("--"));
+    Ok((experiment, CommonArgs::parse(args)?))
 }
 
 #[cfg(test)]
@@ -128,17 +119,26 @@ mod tests {
     }
 
     #[test]
-    fn json_flag_is_off_by_default_and_parses() {
-        assert!(!parse(&[]).unwrap().json);
-        assert!(parse(&["--json"]).unwrap().json);
-        assert!(parse(&["--quick", "--json"]).unwrap().json);
-    }
-
-    #[test]
     fn rejects_bad_input() {
         assert!(parse(&["--scale"]).is_err());
         assert!(parse(&["--scale", "zero"]).is_err());
         assert!(parse(&["--scale", "-1"]).is_err());
         assert!(parse(&["--unknown"]).is_err());
+        assert!(parse(&["--json"]).is_err());
+    }
+
+    #[test]
+    fn command_line_takes_an_optional_leading_experiment() {
+        let line = |args: &[&str]| parse_command_line(args.iter().map(|s| s.to_string()));
+        assert_eq!(line(&[]).unwrap(), (None, CommonArgs::default()));
+        let (name, args) = line(&["fig3", "--quick", "--seed", "3"]).unwrap();
+        assert_eq!(name.as_deref(), Some("fig3"));
+        assert!(args.quick);
+        assert_eq!(args.seed, 3);
+        let (name, args) = line(&["--seed", "3"]).unwrap();
+        assert_eq!(name, None);
+        assert_eq!(args.seed, 3);
+        // Only the first argument may name an experiment.
+        assert!(line(&["fig3", "fig4"]).is_err());
     }
 }

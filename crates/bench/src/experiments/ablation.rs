@@ -158,7 +158,6 @@ mod tests {
             seed: 6,
             queries: 3,
             quick: true,
-            json: false,
         }
     }
 

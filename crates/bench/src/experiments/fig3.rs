@@ -133,7 +133,6 @@ mod tests {
             seed: 5,
             queries: 5,
             quick: true,
-            json: false,
         };
         let report = run_subset(&args, &["AD"]);
         assert!(report.contains("BFS true"));

@@ -88,7 +88,6 @@ mod tests {
             seed: 2,
             queries: 3,
             quick: true,
-            json: false,
         };
         let report = run_subset(&args, &["TW"], &[2, 3]);
         assert!(report.contains("TW"));

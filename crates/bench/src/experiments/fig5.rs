@@ -95,7 +95,6 @@ mod tests {
             seed: 3,
             queries: 3,
             quick: true,
-            json: false,
         };
         let report = run_with(&args, 300, &[2], &[4]);
         assert!(report.contains("Fig. 5 (ER)"));

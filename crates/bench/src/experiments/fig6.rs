@@ -83,7 +83,6 @@ mod tests {
             seed: 4,
             queries: 3,
             quick: true,
-            json: false,
         };
         let report = run_with(&args, &[200, 400]);
         assert!(report.contains("Fig. 6 (ER)"));

@@ -95,7 +95,6 @@ mod tests {
             seed: 9,
             queries: 3,
             quick: true,
-            json: false,
         };
         let report = run_with(&args, 300, &[2]);
         assert!(report.contains("Fig. 7 (ER)"));

@@ -1,40 +1,29 @@
 //! Implementations of every experiment of the paper's evaluation (§VI).
 //!
 //! Each submodule regenerates one table or figure and returns its report as a
-//! plain-text string; the binaries under `src/bin/` are thin wrappers that
-//! print the report. Keeping the logic in the library makes the experiments
-//! testable with shrunken parameters.
+//! plain-text string; `run_all [experiment]` prints the reports of the
+//! experiments listed in [`ALL`]. Keeping the logic in the library makes the
+//! experiments testable with shrunken parameters.
 //!
-//! | module | regenerates |
-//! |---|---|
-//! | [`table3`] | Table III — dataset overview |
-//! | [`table4`] | Table IV — indexing time and index size, RLC vs ETC |
-//! | [`fig3`] | Fig. 3 — query time of 1000 true / 1000 false queries |
-//! | [`fig4`] | Fig. 4 — impact of recursive k on real-graph stand-ins |
-//! | [`fig5`] | Fig. 5 — label-set size × average degree sweep |
-//! | [`fig6`] | Fig. 6 — scalability in the number of vertices |
-//! | [`fig7`] | Fig. 7 (App. C) — impact of k on synthetic graphs |
-//! | [`table5`] | Table V — speed-ups and break-even points vs graph engines |
-//! | [`ablation`] | pruning-rule / strategy / ordering ablations |
-//! | [`batch`] | parallel batch-query throughput (not from the paper) |
-//! | [`batch_planner`] | planned vs naive batch evaluation under constraint reuse (not from the paper) |
-//! | [`plan_cache`] | cross-batch plan caching over repeated mixed batches (not from the paper) |
-//! | [`serve_latency`] | open-loop latency/shedding sweep of the `rlc-serve` HTTP front end (not from the paper) |
-//! | [`shard_scaling`] | sharded-engine shard-count sweep with answer-identity assertions (not from the paper) |
-//! | [`simd_vs_generic`] | forced-backend frontier-kernel sweep with per-row answer-identity assertions (not from the paper) |
+//! | `run_all` name | module | regenerates |
+//! |---|---|---|
+//! | `table3` | [`table3`] | Table III — dataset overview |
+//! | `table4` | [`table4`] | Table IV — indexing time and index size, RLC vs ETC |
+//! | `fig3` | [`fig3`] | Fig. 3 — query time of 1000 true / 1000 false queries |
+//! | `fig4` | [`fig4`] | Fig. 4 — impact of recursive k on real-graph stand-ins |
+//! | `fig5` | [`fig5`] | Fig. 5 — label-set size × average degree sweep |
+//! | `fig6` | [`fig6`] | Fig. 6 — scalability in the number of vertices |
+//! | `fig7` | [`fig7`] | Fig. 7 (App. C) — impact of k on synthetic graphs |
+//! | `table5` | [`table5`] | Table V — speed-ups and break-even points vs graph engines |
+//! | `ablation_pruning` | [`ablation`] | pruning-rule ablation (A1) |
+//! | `ablation_strategy` | [`ablation`] | strategy and ordering ablation (A2) |
 
 pub mod ablation;
-pub mod batch;
-pub mod batch_planner;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
-pub mod plan_cache;
-pub mod serve_latency;
-pub mod shard_scaling;
-pub mod simd_vs_generic;
 pub mod table3;
 pub mod table4;
 pub mod table5;
@@ -43,6 +32,24 @@ use crate::CommonArgs;
 use rlc_graph::LabeledGraph;
 use rlc_workloads::datasets::DatasetSpec;
 use rlc_workloads::{generate_query_set, QueryGenConfig, QuerySet};
+
+/// An experiment `run_all` can run: its command-line name and its entry
+/// point, which returns the report.
+pub type Experiment = (&'static str, fn(&CommonArgs) -> String);
+
+/// Every experiment, in the order `run_all` without a name runs them.
+pub const ALL: [Experiment; 10] = [
+    ("table3", table3::run),
+    ("table4", table4::run),
+    ("fig3", fig3::run),
+    ("fig4", fig4::run),
+    ("fig5", fig5::run),
+    ("fig6", fig6::run),
+    ("fig7", fig7::run),
+    ("table5", table5::run),
+    ("ablation_pruning", ablation::run_pruning_default),
+    ("ablation_strategy", ablation::run_strategy_default),
+];
 
 /// Generates the stand-in graph and its query workload for one dataset.
 pub fn prepare_dataset(
@@ -69,7 +76,6 @@ mod tests {
             seed: 1,
             queries: 5,
             quick: true,
-            json: false,
         }
     }
 
@@ -96,12 +102,6 @@ mod tests {
             table5::run_with(&args, 8),
             ablation::run_pruning(&args, 400),
             ablation::run_strategy(&args, 400),
-            batch::run_with(&args, 400),
-            batch_planner::run_with(&args, 400),
-            plan_cache::run_with(&args, 400),
-            serve_latency::run_with(&args, 30),
-            shard_scaling::run_with(&args, 400),
-            simd_vs_generic::run_with(&args, &[250]),
         ] {
             assert!(!report.is_empty());
             assert!(

@@ -71,7 +71,6 @@ mod tests {
             seed: 3,
             queries: 1,
             quick: true,
-            json: false,
         };
         let report = run_subset(&args, &["AD", "TW"]);
         assert!(report.contains("AD"));

@@ -120,7 +120,6 @@ mod tests {
             seed: 7,
             queries: 1,
             quick: true,
-            json: false,
         };
         let report = run_subset(&args, &["AD"]);
         assert!(report.contains("AD"));

@@ -10,8 +10,8 @@
 //! * Q4 — `a+ ∘ b+` (an extended query evaluated by the RLC index combined
 //!   with an online traversal).
 //!
-//! The engines are the three simulated archetypes of `rlc-engine-sim`
-//! (see DESIGN.md for the substitution rationale). For every engine and query
+//! The engines are the three simulated archetypes of `rlc-engine-sim` (its
+//! crate docs give the substitution rationale). For every engine and query
 //! shape the report gives the median per-query speed-up of the RLC index and
 //! the number of queries after which building the index pays off
 //! (`BEP = indexing time / (engine time − RLC time)` per query).
@@ -182,7 +182,6 @@ mod tests {
             seed: 11,
             queries: 1,
             quick: true,
-            json: false,
         };
         let report = run_with(&args, 4);
         assert!(report.contains("Sys1"));

@@ -1,13 +1,14 @@
 //! # rlc-bench
 //!
-//! Experiment harness for the RLC index reproduction. Each binary under
-//! `src/bin/` regenerates one table or figure of the paper (see DESIGN.md for
-//! the experiment index); the Criterion benchmarks under `benches/` cover the
-//! micro-level costs (minimum-repeat computation, query latency, index
-//! construction, online traversals).
+//! Reproduction harness for the paper's evaluation (§VI). Its one binary,
+//! `run_all [experiment]`, regenerates a table, figure or ablation of the
+//! paper by name, or all of them in order (see [`experiments`] for the
+//! index). Performance of this workspace itself — kernel, index, planner,
+//! cache, shards, HTTP — is measured by the separate `benchmark/` package,
+//! not here.
 //!
-//! The library part holds the pieces shared by the binaries: command-line
-//! parsing of the common `--scale`/`--seed` options and measurement helpers.
+//! The library part holds the pieces shared by the experiments: parsing of
+//! the common `--scale`/`--seed` options and measurement helpers.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,11 +16,9 @@
 
 pub mod cli;
 pub mod experiments;
-pub mod json;
 pub mod measure;
 
 pub use cli::CommonArgs;
-pub use json::run_experiment;
 pub use measure::{
     evaluate_capped, evaluate_query_set, median_duration, CappedTiming, QuerySetTiming,
 };

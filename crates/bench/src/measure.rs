@@ -1,4 +1,4 @@
-//! Measurement helpers shared by the experiment binaries.
+//! Measurement helpers shared by the experiments.
 //!
 //! Every helper takes the evaluator as a `&dyn ReachabilityEngine`, so the
 //! experiments time BFS, BiBFS, DFS, ETC, the RLC index and the simulated
@@ -66,32 +66,6 @@ pub fn evaluate_query_set(set: &QuerySet, engine: &dyn ReachabilityEngine) -> Qu
         }
     }
     let false_total = start.elapsed();
-
-    QuerySetTiming {
-        true_total,
-        false_total,
-        wrong_answers,
-    }
-}
-
-/// Runs `engine` over the query set through the rayon-parallel batch path
-/// ([`ReachabilityEngine::evaluate_batch`]), checking answers and timing the
-/// two subsets separately. Comparing against [`evaluate_query_set`] measures
-/// the batch speed-up.
-pub fn evaluate_query_set_batch(set: &QuerySet, engine: &dyn ReachabilityEngine) -> QuerySetTiming {
-    let mut wrong_answers = 0;
-    let true_queries: Vec<Query> = set.true_queries.iter().map(Query::from).collect();
-    let false_queries: Vec<Query> = set.false_queries.iter().map(Query::from).collect();
-
-    let start = Instant::now();
-    let answers = engine.evaluate_batch(&true_queries);
-    let true_total = start.elapsed();
-    wrong_answers += answers.iter().filter(|&a| *a != Ok(true)).count();
-
-    let start = Instant::now();
-    let answers = engine.evaluate_batch(&false_queries);
-    let false_total = start.elapsed();
-    wrong_answers += answers.iter().filter(|&a| *a != Ok(false)).count();
 
     QuerySetTiming {
         true_total,
@@ -219,11 +193,6 @@ mod tests {
         assert_eq!(always_true.wrong_answers, 10);
         let always_false = evaluate_query_set(&set, &ConstEngine(false));
         assert_eq!(always_false.wrong_answers, 10);
-        // The batch path counts identically.
-        assert_eq!(
-            evaluate_query_set_batch(&set, &ConstEngine(true)).wrong_answers,
-            10
-        );
     }
 
     #[test]
@@ -236,8 +205,6 @@ mod tests {
         assert_eq!(timing.wrong_answers, 0);
         assert!(timing.total() >= timing.true_total);
         assert!(timing.per_query(&set) <= timing.total());
-        let batch_timing = evaluate_query_set_batch(&set, &engine);
-        assert_eq!(batch_timing.wrong_answers, 0);
     }
 
     #[test]

@@ -286,8 +286,9 @@ pub fn batch_threads() -> usize {
 
 /// Counts [`ReachabilityEngine::prepare`] calls on a wrapped engine.
 ///
-/// Used by tests and the `batch_planner` bench to assert the one-prepare-
-/// per-distinct-constraint contract of [`crate::plan::BatchPlan`]. The
+/// Used by the planner's unit tests and the engine differential to assert
+/// the one-prepare-per-distinct-constraint contract of
+/// [`crate::plan::BatchPlan`]. The
 /// counter is atomic because batch execution prepares from rayon workers.
 pub struct PrepareCounting<'e> {
     inner: &'e dyn ReachabilityEngine,

@@ -24,7 +24,8 @@
 //! reference everywhere else. The choice can be forced for testing with
 //! the `RLC_KERNEL=generic|simd` environment variable or switched
 //! in-process with [`set_kernel`]; both backends produce bit-identical
-//! results (the `simd_vs_generic` bench asserts this on every row).
+//! results (`simd_and_generic_backends_agree` below and the ten-engine
+//! differential under both forced backends assert this).
 //!
 //! [`KernelScratch`] bundles the frontier sets and work queue a closure
 //! traversal needs, behind a thread-local pool ([`with_kernel_scratch`])
@@ -456,8 +457,8 @@ const BACKEND_SIMD: u8 = 2;
 
 /// The resolved backend: `BACKEND_UNSET` until first use, then one of
 /// `BACKEND_GENERIC`/`BACKEND_SIMD`. An atomic (rather than a `OnceLock`)
-/// so [`set_kernel`] can switch backends in-process — the differential
-/// tests and the `simd_vs_generic` bench run both lanes in one binary.
+/// so [`set_kernel`] can switch backends in-process — the kernel and
+/// differential tests run both lanes in one binary.
 static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
 
 /// Whether the CPU provides the features the SIMD lane needs.

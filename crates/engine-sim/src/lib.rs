@@ -20,8 +20,8 @@
 //! `rlc_core::engine` that this crate's private `GraphEngine` trait grew
 //! into — and return exactly the same answers as the RLC index (they are
 //! correct evaluators); they are only slower, which is what Table V measures.
-//! See DESIGN.md ("Substitutions") for why this preserves the shape of the
-//! paper's comparison.
+//! Because answers are equal by construction, only the evaluation strategy
+//! differs, which is what keeps the shape of the paper's comparison.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -40,7 +40,9 @@
 //! (a fortiori in the full graph). Completeness: every edge of every
 //! global path is explored by the edge-wise transitions. The stitched
 //! answers are therefore **identical** to the unsharded engines' — the
-//! property the engine differential and the `shard_scaling` bench assert.
+//! property `tests::stitched_answers_equal_unsharded_answers` below and the
+//! engine differential's `sharded_engines_match_unsharded_answers_and_errors`
+//! assert.
 
 use crate::index::ShardedIndex;
 use rlc_core::catalog::MrId;

@@ -39,8 +39,9 @@
 //! let engine = ShardedEngine::new(&graph, &sharded);
 //! let q = Query::rlc(0, 7, vec![Label(0)]).unwrap();
 //! let answer = engine.evaluate(&q).unwrap();
-//! // Identical to any unsharded engine's answer — asserted workspace-wide
-//! // by the engine differential and the shard_scaling bench.
+//! // Identical to any unsharded engine's answer — asserted by
+//! // `engine::tests::stitched_answers_equal_unsharded_answers` and the
+//! // workspace's `sharded_engines_match_unsharded_answers_and_errors`.
 //! # let _ = answer;
 //! ```
 

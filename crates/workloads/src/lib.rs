@@ -6,10 +6,10 @@
 //!   paper evaluates on every graph (§VI-c), validated with bidirectional
 //!   search;
 //! * [`datasets`] — the catalog of the thirteen real-world graphs of
-//!   Table III together with structure-matched synthetic stand-ins (see
-//!   DESIGN.md for the substitution rationale), plus the ER/BA configurations
-//!   of the synthetic experiments;
-//! * [`runner`] — small utilities shared by the experiment binaries: timing,
+//!   Table III together with structure-matched synthetic stand-ins (the
+//!   module docs give the substitution rationale), plus the ER/BA
+//!   configurations of the synthetic experiments;
+//! * [`runner`] — small utilities shared by the paper's experiments: timing,
 //!   unit formatting and plain-text table rendering.
 
 #![deny(unsafe_code)]
@@ -22,6 +22,4 @@ pub mod runner;
 
 pub use datasets::{table3_catalog, DatasetSpec, GeneratorKind};
 pub use querygen::{generate_query_set, QueryGenConfig, QuerySet};
-pub use runner::{
-    capture_tables, drain_tables, format_bytes, format_duration, time, Table, TableSnapshot,
-};
+pub use runner::{format_bytes, format_duration, time, Table};

@@ -1,14 +1,7 @@
-//! Small utilities shared by the experiment binaries: wall-clock timing,
+//! Small utilities shared by the paper's experiments: wall-clock timing,
 //! human-readable unit formatting and plain-text table rendering in the style
 //! of the paper's tables.
-//!
-//! When the bench harness runs with `--json`, it turns on process-wide table
-//! capture ([`capture_tables`]): every [`Table::render`] additionally files a
-//! structured [`TableSnapshot`] into a buffer the harness drains afterwards
-//! ([`drain_tables`]) to emit the machine-readable `BENCH_<name>.json`
-//! sidecar — the text report stays byte-identical either way.
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Runs `f`, returning its result together with the elapsed wall-clock time.
@@ -46,40 +39,6 @@ pub fn format_bytes(bytes: usize) -> String {
     }
 }
 
-/// A captured table — title, header, and rows — for machine-readable
-/// export alongside the plain-text report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableSnapshot {
-    /// The table's title line.
-    pub title: String,
-    /// Column headers.
-    pub header: Vec<String>,
-    /// Data rows, each as wide as the header.
-    pub rows: Vec<Vec<String>>,
-}
-
-/// Capture buffer: `None` when capture is off (the default).
-static CAPTURE: Mutex<Option<Vec<TableSnapshot>>> = Mutex::new(None);
-
-fn capture_lock() -> std::sync::MutexGuard<'static, Option<Vec<TableSnapshot>>> {
-    CAPTURE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Turns on process-wide table capture, clearing anything captured before.
-/// Every subsequent [`Table::render`] files a [`TableSnapshot`] until
-/// [`drain_tables`] turns capture back off.
-pub fn capture_tables() {
-    *capture_lock() = Some(Vec::new());
-}
-
-/// Turns capture off and returns everything captured since
-/// [`capture_tables`] (empty if capture was never on).
-pub fn drain_tables() -> Vec<TableSnapshot> {
-    capture_lock().take().unwrap_or_default()
-}
-
 /// A simple fixed-column text table, printed with aligned columns.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -113,16 +72,8 @@ impl Table {
         self.rows.len()
     }
 
-    /// Renders the table as aligned plain text (and files a snapshot when
-    /// process-wide capture is on — see [`capture_tables`]).
+    /// Renders the table as aligned plain text.
     pub fn render(&self) -> String {
-        if let Some(captured) = capture_lock().as_mut() {
-            captured.push(TableSnapshot {
-                title: self.title.clone(),
-                header: self.header.clone(),
-                rows: self.rows.clone(),
-            });
-        }
         let columns = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -213,27 +164,6 @@ mod tests {
         assert!(text.contains("graph"));
         assert!(text.contains("Web-NotreDame"));
         assert_eq!(table.row_count(), 2);
-    }
-
-    #[test]
-    fn capture_snapshots_rendered_tables() {
-        // Other tests render tables concurrently; filter by a title only
-        // this test uses so their renders can't confuse the assertion.
-        capture_tables();
-        let mut table = Table::new("capture-probe-7391", &["col"]);
-        table.add_row(vec!["cell".into()]);
-        let _ = table.render();
-        let snapshots = drain_tables();
-        let mine: Vec<_> = snapshots
-            .iter()
-            .filter(|s| s.title == "capture-probe-7391")
-            .collect();
-        assert_eq!(mine.len(), 1);
-        assert_eq!(mine[0].header, vec!["col".to_owned()]);
-        assert_eq!(mine[0].rows, vec![vec!["cell".to_owned()]]);
-        // Capture is off again: renders no longer accumulate.
-        let _ = table.render();
-        assert!(drain_tables().is_empty());
     }
 
     #[test]

@@ -13,11 +13,34 @@
 //! kernel backends (`set_kernel`): the bit-parallel SIMD lane must be
 //! observationally identical to the portable generic lane — same answers
 //! AND same errors.
+//!
+//! Two tests here flip process-global state: the tracing differential turns
+//! the global `rlc_obs` registry on, and the forced-backend differential
+//! switches the kernel lane with `set_kernel`. Cargo runs a binary's tests
+//! on parallel threads, so both hold [`PROCESS_GLOBALS`] for their whole
+//! run: neither can flip or restore a flag while the other is mid-run, and
+//! each restores what it changed before the next holder starts. They are
+//! the workspace's only integration tests that write process state; the
+//! serve crate's counting-allocator proof is a single-test binary of its
+//! own, and the kernel's unit tests force lanes inside one test.
 
 use rlc::engines::all_engines;
 use rlc::graph::generate::{erdos_renyi, SyntheticConfig};
 use rlc::index::repeats::enumerate_minimum_repeats;
 use rlc::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Held by every test that flips process-global state (see the module docs).
+static PROCESS_GLOBALS: Mutex<()> = Mutex::new(());
+
+fn lock_process_globals() -> MutexGuard<'static, ()> {
+    // A holder that panicked has already failed its own test, and a flag it
+    // left flipped changes no answer (which is what both holders assert), so
+    // later holders proceed.
+    PROCESS_GLOBALS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Collects all ten evaluator implementations over one graph.
 fn full_roster<'g>(
@@ -463,6 +486,7 @@ fn ten_engine_differential_holds_with_tracing_enabled() {
     // traces must be real, not decorative: the batch trace carries one child
     // per query with the cache-hit flag, and the sharded engine's per-query
     // trace names its route.
+    let _globals = lock_process_globals();
     let graph = erdos_renyi(&SyntheticConfig::new(60, 3.0, 3, 63));
     let (index, _) = build_index(&graph, &BuildConfig::new(2));
     let etc = EtcIndex::build(&graph, &EtcBuildConfig::new(2));
@@ -612,6 +636,7 @@ fn ten_engine_differential_holds_under_both_forced_backends() {
     // planned — are identical between the two backends. On hardware
     // without SIMD support the forced SIMD lane degrades to generic and
     // the comparison is trivially (but still soundly) exercised.
+    let _globals = lock_process_globals();
     let graph = erdos_renyi(&SyntheticConfig::new(60, 3.0, 3, 77));
     let (index, _) = build_index(&graph, &BuildConfig::new(2));
     let etc = EtcIndex::build(&graph, &EtcBuildConfig::new(2));

@@ -42,6 +42,11 @@ fn exchange(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, St
 }
 
 /// Like [`exchange`] but surfacing transport errors instead of panicking.
+///
+/// A server may answer and close before it has read everything sent (a shed
+/// `503`, an oversized body), and the close can reset the connection. So a
+/// failed write or read is an error only when no response byte arrived;
+/// otherwise the bytes are returned and [`parse_response`] judges them.
 fn exchange_raw(
     addr: SocketAddr,
     method: &str,
@@ -54,19 +59,37 @@ fn exchange_raw(
         "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    let sent = stream
+        .write_all(head.as_bytes())
+        .and_then(|()| stream.write_all(body));
     let mut response = Vec::new();
-    stream.read_to_end(&mut response)?;
+    let read = stream.read_to_end(&mut response);
+    if response.is_empty() {
+        sent?;
+        read?;
+    }
     Ok(response)
 }
 
-/// Splits a raw response into (status, body). `None` on malformed/empty.
+/// Splits a raw response into (status, body). `None` on malformed, empty,
+/// or truncated responses: the body must be exactly as long as the declared
+/// `Content-Length`.
 fn parse_response(raw: &[u8]) -> Option<(u16, String)> {
     let text = std::str::from_utf8(raw).ok()?;
     let status: u16 = text.split(' ').nth(1)?.parse().ok()?;
     let head_end = text.find("\r\n\r\n")?;
-    Some((status, text[head_end + 4..].to_owned()))
+    let (head, body) = (&text[..head_end], &text[head_end + 4..]);
+    let declared: usize = head
+        .lines()
+        .find_map(|line| {
+            let lower = line.to_ascii_lowercase();
+            lower
+                .strip_prefix("content-length:")
+                .map(|value| value.trim().to_owned())
+        })?
+        .parse()
+        .ok()?;
+    (body.len() == declared).then(|| (status, body.to_owned()))
 }
 
 /// Extracts `"key":<u64>` from a compact JSON body.
@@ -235,6 +258,84 @@ fn missed_deadlines_answer_504_not_silence() {
     assert_eq!(status, 504, "{body}");
     assert!(body.contains("deadline exceeded"), "{body}");
     assert!(server.metrics().get(rlc::serve::Counter::Deadline504) >= 1);
+    server.shutdown();
+}
+
+#[test]
+fn overload_sheds_503s_within_the_queue_bound_and_answers_what_it_admits() {
+    // A deliberately tiny server (one worker, four queue slots, a 20 ms
+    // batch window) answers about one request per window, so a burst of
+    // concurrent single queries must overflow the admission queue. The
+    // overflow is shed at the accept loop with the preformatted 503, the
+    // queue never grows past its structural bound, and every request that
+    // was admitted is still answered exactly like the direct engine.
+    const REQUESTS: u32 = 40;
+    let graph = fig2();
+    let (index, _) = build_index(&graph, &BuildConfig::new(2));
+    let config = ServeConfig {
+        threads: 1,
+        queue_depth: 4,
+        batch_window: Duration::from_millis(20),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(config, Epoch::rlc(Arc::clone(&graph), index)).unwrap();
+    let addr = server.addr();
+    let pair = |i: u32| (i % 6, (i / 6) % 6);
+
+    let responses: Vec<_> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..REQUESTS)
+            .map(|i| {
+                scope.spawn(move || {
+                    let (source, target) = pair(i);
+                    exchange_raw(addr, "POST", "/query", &query_body(source, target, &[1]))
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+
+    let (direct, _) = build_index(&graph, &BuildConfig::new(2));
+    let engine = IndexEngine::new(&graph, &direct);
+    let mut shed = 0u64;
+    for (i, response) in (0..REQUESTS).zip(responses) {
+        let raw = response.unwrap_or_else(|error| panic!("request {i} got no response: {error}"));
+        let (status, body) = parse_response(&raw)
+            .unwrap_or_else(|| panic!("request {i}: incomplete response {raw:?}"));
+        match status {
+            200 => {
+                let (source, target) = pair(i);
+                let expected = engine
+                    .evaluate(&Query::rlc(source, target, vec![Label(1)]).unwrap())
+                    .unwrap();
+                assert!(
+                    body.contains(&format!("\"answer\":{expected}")),
+                    "({source},{target}): an admitted request must be answered like the \
+                     direct engine, got {body}"
+                );
+            }
+            503 => shed += 1,
+            504 => {}
+            other => panic!("request {i}: only 200/503/504 may appear, got {other}: {body}"),
+        }
+    }
+    assert!(
+        shed > 0,
+        "{REQUESTS} concurrent requests must overflow the queue"
+    );
+    assert_eq!(
+        server.metrics().get(rlc::serve::Counter::Shed503),
+        shed,
+        "every 503 seen was counted as a shed, and no other"
+    );
+    let bound = (config.queue_depth + config.threads + 1) as u64;
+    let high_water = server.metrics().queue_depth_max();
+    assert!(
+        high_water <= bound,
+        "queue high-water {high_water} exceeds the structural bound {bound}"
+    );
     server.shutdown();
 }
 
