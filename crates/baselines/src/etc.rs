@@ -366,7 +366,7 @@ impl EtcIndex {
         };
         let catalog_len = rlc_graph::checked_len(catalog_len, 2, buf.remaining())
             .map_err(|_| corrupt("catalog"))?;
-        let mut catalog = MrCatalog::new();
+        let mut sequences = Vec::new();
         for i in 0..catalog_len {
             check(buf.remaining() >= 2, "catalog entry length")?;
             let len = buf.get_u16_le() as usize;
@@ -382,13 +382,11 @@ impl EtcIndex {
                     "corrupt ETC data: catalog sequence {i} has {len} labels but k = {k}"
                 ));
             }
-            if catalog.resolve(&seq).is_some() {
-                return Err(format!(
-                    "corrupt ETC data: catalog sequence {i} duplicates an earlier sequence"
-                ));
-            }
-            catalog.intern(&seq);
+            sequences.push(seq);
         }
+        let catalog = MrCatalog::from_sequences(sequences).map_err(|i| {
+            format!("corrupt ETC data: catalog sequence {i} duplicates an earlier sequence")
+        })?;
         let pair_count = rlc_graph::checked_len(pair_count, 12, buf.remaining())
             .map_err(|_| corrupt("pair table"))?;
         let mut closure: HashMap<(VertexId, VertexId), Vec<MrId>> =

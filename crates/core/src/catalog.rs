@@ -9,7 +9,6 @@
 use crate::repeats::is_minimum_repeat;
 use rlc_graph::Label;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Dense identifier of an interned minimum repeat.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -25,25 +24,47 @@ impl MrId {
 
 /// Append-only interner for minimum repeats.
 ///
+/// Ids are dense in intern order. Lookups binary-search a list of
+/// `(lookup_key, id)` pairs sorted by key, then by sequence, so resolving a
+/// constraint hashes nothing and, for constraints of at most three labels,
+/// compares integers only. The catalog holds at most `C = O(|L|^k)`
+/// sequences, so the `O(C)` insert into that list on a first intern is
+/// cheap.
+///
 /// Only the sequence list is serialized; deserialization rebuilds the
-/// sequence → id map automatically, so a deserialized catalog resolves
+/// sorted lookup automatically, so a deserialized catalog resolves
 /// constraints immediately.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct MrCatalog {
     sequences: Vec<Vec<Label>>,
+    /// `(lookup_key(sequence), id)` for every id, sorted by key, then by
+    /// sequence, then by id.
     #[serde(skip)]
-    lookup: HashMap<Vec<Label>, MrId>,
+    lookup: Vec<(u64, MrId)>,
+}
+
+/// A sequence's length (top 16 bits, saturating) and first three labels in
+/// one integer. It determines every sequence of at most three labels, so the
+/// catalog's lookups compare sequences only between equal keys.
+#[inline]
+fn lookup_key(seq: &[Label]) -> u64 {
+    let len = seq.len().min(usize::from(u16::MAX)) as u64;
+    seq.iter()
+        .zip([32u32, 16, 0])
+        .fold(len << 48, |key, (label, shift)| {
+            key | u64::from(label.0) << shift
+        })
 }
 
 impl Deserialize for MrCatalog {
-    /// Reconstructs the catalog and rebuilds the skipped lookup map.
+    /// Reconstructs the catalog and rebuilds the skipped lookup.
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let entries = value
             .as_map()
             .ok_or_else(|| serde::Error::custom("expected a map for MrCatalog"))?;
         let mut catalog = MrCatalog {
             sequences: serde::map_field(entries, "sequences", "MrCatalog")?,
-            lookup: HashMap::new(),
+            lookup: Vec::new(),
         };
         catalog.rebuild_lookup();
         Ok(catalog)
@@ -62,18 +83,67 @@ impl MrCatalog {
     /// must never record a reducible sequence.
     pub fn intern(&mut self, mr: &[Label]) -> MrId {
         debug_assert!(is_minimum_repeat(mr), "catalog only stores minimum repeats");
-        if let Some(&id) = self.lookup.get(mr) {
-            return id;
+        match self.position(mr) {
+            Ok(found) => self.lookup[found].1,
+            Err(slot) => {
+                let id = MrId(self.sequences.len() as u32);
+                self.sequences.push(mr.to_vec());
+                self.lookup.insert(slot, (lookup_key(mr), id));
+                id
+            }
         }
-        let id = MrId(self.sequences.len() as u32);
-        self.sequences.push(mr.to_vec());
-        self.lookup.insert(mr.to_vec(), id);
-        id
     }
 
     /// Looks up a sequence without interning it.
     pub fn resolve(&self, mr: &[Label]) -> Option<MrId> {
-        self.lookup.get(mr).copied()
+        self.position(mr).ok().map(|found| self.lookup[found].1)
+    }
+
+    /// Where `mr` sits in the sorted lookup: `Ok` with its slot, or `Err`
+    /// with the slot it would be inserted at. A branch-free binary search
+    /// over the keys, then a scan of the (for short sequences, single) entry
+    /// with an equal key.
+    #[inline]
+    fn position(&self, mr: &[Label]) -> Result<usize, usize> {
+        let key = lookup_key(mr);
+        let start = self.lookup.partition_point(|&(probe, _)| probe < key);
+        for (slot, &(probe, id)) in (start..).zip(&self.lookup[start..]) {
+            if probe != key {
+                return Err(slot);
+            }
+            match self.sequences[id.index()].as_slice().cmp(mr) {
+                std::cmp::Ordering::Less => {}
+                std::cmp::Ordering::Equal => return Ok(slot),
+                std::cmp::Ordering::Greater => return Err(slot),
+            }
+        }
+        Err(self.lookup.len())
+    }
+
+    /// Builds a catalog from sequences given in id order, as a decoder reads
+    /// them: one sort instead of one sorted insert per sequence, so a hostile
+    /// blob listing many sequences costs `O(C log C)`, not `O(C^2)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the index of the first sequence that repeats an earlier one.
+    pub fn from_sequences(sequences: Vec<Vec<Label>>) -> Result<Self, usize> {
+        let mut catalog = MrCatalog {
+            sequences,
+            lookup: Vec::new(),
+        };
+        catalog.rebuild_lookup();
+        // Equal sequences sit next to each other, in ascending id order.
+        let first_repeat = catalog
+            .lookup
+            .windows(2)
+            .filter(|pair| catalog.sequence(pair[0].1) == catalog.sequence(pair[1].1))
+            .map(|pair| pair[1].1.index())
+            .min();
+        match first_repeat {
+            Some(i) => Err(i),
+            None => Ok(catalog),
+        }
     }
 
     /// Returns the sequence for an id.
@@ -99,14 +169,19 @@ impl MrCatalog {
             .sum()
     }
 
-    /// Rebuilds the lookup map after deserialization.
+    /// Rebuilds the sorted lookup after deserialization.
     pub fn rebuild_lookup(&mut self) {
-        self.lookup = self
-            .sequences
+        let sequences = &self.sequences;
+        self.lookup = sequences
             .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), MrId(i as u32)))
+            .zip(0u32..)
+            .map(|(sequence, id)| (lookup_key(sequence), MrId(id)))
             .collect();
+        // Stable: equal sequences keep ascending id order.
+        self.lookup.sort_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| sequences[a.1.index()].cmp(&sequences[b.1.index()]))
+        });
     }
 
     /// Iterates over `(id, sequence)` pairs.
@@ -160,10 +235,50 @@ mod tests {
         let id = catalog.intern(&seq(&[0, 1, 2]));
         let json = serde_json::to_string(&catalog).unwrap();
         let back: MrCatalog = serde_json::from_str(&json).unwrap();
-        // The lookup map is rebuilt by the custom Deserialize impl — no
+        // The lookup is rebuilt by the custom Deserialize impl — no
         // rebuild_lookup() call needed.
         assert_eq!(back.resolve(&seq(&[0, 1, 2])), Some(id));
         assert_eq!(back.len(), 1);
+    }
+
+    #[test]
+    fn sequences_sharing_a_lookup_key_resolve_apart() {
+        // Past three labels the key holds only the length and a prefix, so
+        // these four share one key and the lookup must compare sequences.
+        let shared = [
+            seq(&[0, 1, 2, 4]),
+            seq(&[0, 1, 2, 3]),
+            seq(&[0, 1, 2, 5]),
+            seq(&[0, 1, 2, 0]),
+        ];
+        let mut catalog = MrCatalog::new();
+        let ids: Vec<MrId> = shared.iter().map(|s| catalog.intern(s)).collect();
+        assert_eq!(ids, (0..4).map(MrId).collect::<Vec<_>>());
+        for (s, &id) in shared.iter().zip(&ids) {
+            assert_eq!(catalog.resolve(s), Some(id));
+            assert_eq!(catalog.intern(s), id);
+        }
+        assert_eq!(catalog.resolve(&seq(&[0, 1, 2, 6])), None);
+        assert_eq!(catalog.resolve(&seq(&[0, 1, 2])), None);
+        let rebuilt = MrCatalog::from_sequences(shared.to_vec()).unwrap();
+        for (s, &id) in shared.iter().zip(&ids) {
+            assert_eq!(rebuilt.resolve(s), Some(id));
+        }
+    }
+
+    #[test]
+    fn from_sequences_names_the_first_repeat() {
+        let sequences = vec![
+            seq(&[0]),
+            seq(&[1, 0, 1, 1]),
+            seq(&[0, 1]),
+            seq(&[1, 0, 1, 1]),
+            seq(&[0]),
+        ];
+        assert_eq!(MrCatalog::from_sequences(sequences).unwrap_err(), 3);
+        let catalog = MrCatalog::from_sequences(vec![seq(&[1]), seq(&[0, 1])]).unwrap();
+        assert_eq!(catalog.resolve(&seq(&[0, 1])), Some(MrId(1)));
+        assert_eq!(catalog.resolve(&seq(&[1])), Some(MrId(0)));
     }
 
     #[test]

@@ -960,7 +960,7 @@ mod tests {
             let mut catalog = crate::catalog::MrCatalog::new();
             let mr = catalog.intern(&[label]);
             let entry = crate::index::IndexEntry { hub: a, mr };
-            let index = RlcIndex::from_rows(
+            let index = RlcIndex::from_entry_rows(
                 2,
                 order,
                 catalog,

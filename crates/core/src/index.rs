@@ -80,19 +80,20 @@ impl IndexStats {
 }
 
 /// The sort key of an entry inside its row: minimum repeat in the high half,
-/// the hub's access id in the low half.
+/// the hub's access id in the low half. The builder stages entries in the
+/// same form.
 #[inline]
-fn pack_key(mr: MrId, hub_rank: u32) -> u64 {
+pub(crate) fn pack_key(mr: MrId, hub_rank: u32) -> u64 {
     (u64::from(mr.0) << 32) | u64::from(hub_rank)
 }
 
 #[inline]
-fn key_mr(key: u64) -> MrId {
+pub(crate) fn key_mr(key: u64) -> MrId {
     MrId((key >> 32) as u32)
 }
 
 #[inline]
-fn key_rank(key: u64) -> u32 {
+pub(crate) fn key_rank(key: u64) -> u32 {
     key as u32
 }
 
@@ -116,20 +117,17 @@ struct PackedSide {
 }
 
 impl PackedSide {
-    /// Packs per-vertex entry rows given in vertex-id order.
+    /// Packs per-vertex rows of keys given in vertex-id order.
     fn from_rows<R>(rows: impl IntoIterator<Item = R>, order: &VertexOrder) -> Self
     where
-        R: IntoIterator<Item = IndexEntry>,
+        R: IntoIterator<Item = u64>,
     {
         let mut row_ptr = Vec::with_capacity(order.len() + 1);
         row_ptr.push(0u32);
         let mut keys: Vec<u64> = Vec::new();
         for row in rows {
             let start = keys.len();
-            keys.extend(
-                row.into_iter()
-                    .map(|entry| pack_key(entry.mr, order.aid(entry.hub))),
-            );
+            keys.extend(row);
             keys[start..].sort_unstable();
             debug_assert!(
                 keys[start..].windows(2).all(|pair| pair[0] < pair[1]),
@@ -338,10 +336,10 @@ pub struct RlcIndex {
 }
 
 impl RlcIndex {
-    /// Packs per-vertex entry rows (vertex-id order, entries in any order,
-    /// no `(hub, MR)` pair twice in a row) into an index. The one
-    /// constructor besides [`RlcIndex::from_bytes`]: the builder calls it
-    /// once, after its last root.
+    /// Packs per-vertex rows of [`pack_key`] keys (vertex-id order, keys in
+    /// any order, no key twice in a row) into an index. The one constructor
+    /// besides [`RlcIndex::from_bytes`]: the builder calls it once, after its
+    /// last root.
     ///
     /// # Panics
     ///
@@ -355,8 +353,8 @@ impl RlcIndex {
         lin: impl IntoIterator<Item = B>,
     ) -> Self
     where
-        A: IntoIterator<Item = IndexEntry>,
-        B: IntoIterator<Item = IndexEntry>,
+        A: IntoIterator<Item = u64>,
+        B: IntoIterator<Item = u64>,
     {
         let lout = PackedSide::from_rows(lout, &order);
         let lin = PackedSide::from_rows(lin, &order);
@@ -368,6 +366,32 @@ impl RlcIndex {
             lin,
             generation: Generation::fresh(),
         }
+    }
+
+    /// [`RlcIndex::from_rows`] over rows of entries naming their hubs by
+    /// vertex id, for tests that hand-roll an index.
+    #[cfg(test)]
+    pub(crate) fn from_entry_rows<A, B>(
+        k: usize,
+        order: VertexOrder,
+        catalog: MrCatalog,
+        lout: impl IntoIterator<Item = A>,
+        lin: impl IntoIterator<Item = B>,
+    ) -> Self
+    where
+        A: IntoIterator<Item = IndexEntry>,
+        B: IntoIterator<Item = IndexEntry>,
+    {
+        let key = |entry: IndexEntry| pack_key(entry.mr, order.aid(entry.hub));
+        let lout: Vec<Vec<u64>> = lout
+            .into_iter()
+            .map(|row| row.into_iter().map(key).collect())
+            .collect();
+        let lin: Vec<Vec<u64>> = lin
+            .into_iter()
+            .map(|row| row.into_iter().map(key).collect())
+            .collect();
+        RlcIndex::from_rows(k, order, catalog, lout, lin)
     }
 
     /// The recursive `k` this index supports: queries may use constraints of
@@ -708,7 +732,7 @@ impl RlcIndex {
         // overflow) before any loop or allocation sized by them.
         let catalog_len = rlc_graph::checked_len(catalog_len, 2, buf.remaining())
             .map_err(|_| corrupt("catalog"))?;
-        let mut catalog = MrCatalog::new();
+        let mut sequences = Vec::new();
         for i in 0..catalog_len {
             check(buf.remaining() >= 2, "catalog entry length")?;
             let len = buf.get_u16_le() as usize;
@@ -719,13 +743,11 @@ impl RlcIndex {
                     "corrupt index data: catalog sequence {i} is not a minimum repeat"
                 ));
             }
-            if catalog.resolve(&seq).is_some() {
-                return Err(format!(
-                    "corrupt index data: catalog sequence {i} duplicates an earlier sequence"
-                ));
-            }
-            catalog.intern(&seq);
+            sequences.push(seq);
         }
+        let catalog = MrCatalog::from_sequences(sequences).map_err(|i| {
+            format!("corrupt index data: catalog sequence {i} duplicates an earlier sequence")
+        })?;
         let n =
             rlc_graph::checked_len(n, 4, buf.remaining()).map_err(|_| corrupt("vertex order"))?;
         let sequence = le_u32s(split_front(&mut buf, 4 * n));
@@ -875,7 +897,7 @@ mod tests {
         let a = g.vertex_id("a").unwrap();
         assert_eq!((a, g.vertex_id("b").unwrap()), (0, 1));
         // Record a ⇝ b with (x)+ as a Case-2 entry on the Lin side.
-        RlcIndex::from_rows(
+        RlcIndex::from_entry_rows(
             2,
             order,
             catalog,
@@ -932,7 +954,7 @@ mod tests {
             g.vertices()
                 .map(move |v| (v == owner).then_some(IndexEntry { hub: h, mr }))
         };
-        let index = RlcIndex::from_rows(2, order, catalog, only(s), only(t));
+        let index = RlcIndex::from_entry_rows(2, order, catalog, only(s), only(t));
         assert!(index.query_interned(s, t, mr));
         // A different constraint through the same hub must not match.
         assert!(!index.query_interned(s, t, other));
@@ -1270,7 +1292,7 @@ mod tests {
         let long: Vec<Label> = (0..300u16).map(Label).collect();
         let mut catalog = MrCatalog::new();
         let mr = catalog.intern(&long);
-        let index = RlcIndex::from_rows(
+        let index = RlcIndex::from_entry_rows(
             300,
             order,
             catalog,

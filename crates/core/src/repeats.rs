@@ -7,49 +7,23 @@
 //! `MR(L') = L'` and `L''` a proper prefix of `L'` (possibly empty); the
 //! kernel is unique when it exists (Lemma 2).
 //!
-//! Minimum repeats are computed with the KMP failure function, as in the
-//! paper (§V-B): the smallest period of a sequence of length `n` is
-//! `p = n - fail[n]`, and the sequence is a power of its length-`p` prefix
-//! iff `p` divides `n`.
+//! The paper computes minimum repeats with the KMP failure function (§V-B).
+//! Here they come from a direct period check instead, which allocates
+//! nothing: `MR(L)` has length `p`, the smallest divisor of `|L|` for which
+//! `L` shifted by `p` equals itself (`L[p..] = L[..|L| - p]`). By the
+//! Fine–Wilf theorem this is the KMP answer: when the smallest period `q`
+//! does not divide `|L|`, no period smaller than `|L|` does.
 
 use rlc_graph::Label;
-
-/// Computes the KMP failure function of `seq`.
-///
-/// `fail[i]` is the length of the longest proper prefix of `seq[..i]` that is
-/// also a suffix of it; `fail[0] = 0` by convention. The returned vector has
-/// length `seq.len() + 1`.
-pub fn kmp_failure(seq: &[Label]) -> Vec<usize> {
-    let n = seq.len();
-    let mut fail = vec![0usize; n + 1];
-    let mut k = 0usize;
-    for i in 1..n {
-        while k > 0 && seq[i] != seq[k] {
-            k = fail[k];
-        }
-        if seq[i] == seq[k] {
-            k += 1;
-        }
-        fail[i + 1] = k;
-    }
-    fail
-}
 
 /// Length of the minimum repeat of `seq`.
 ///
 /// Returns 0 for the empty sequence (whose MR is the empty sequence `ε`).
 pub fn minimum_repeat_len(seq: &[Label]) -> usize {
     let n = seq.len();
-    if n == 0 {
-        return 0;
-    }
-    let fail = kmp_failure(seq);
-    let period = n - fail[n];
-    if n.is_multiple_of(period) {
-        period
-    } else {
-        n
-    }
+    (1..n)
+        .find(|&p| n.is_multiple_of(p) && seq[p..] == seq[..n - p])
+        .unwrap_or(n)
 }
 
 /// The minimum repeat `MR(seq)` as a prefix slice of `seq`.
@@ -237,6 +211,21 @@ mod tests {
         assert_eq!(minimum_repeat_len(&seq(&[0, 1, 0])), 3);
         // (a, a, b, a, a) has border (a,a) giving period 3, not dividing 5.
         assert_eq!(minimum_repeat_len(&seq(&[0, 0, 1, 0, 0])), 5);
+    }
+
+    #[test]
+    fn period_check_matches_brute_force_on_exhaustive_small_sequences() {
+        // The MR length is the smallest p dividing n such that seq is seq[..p]
+        // repeated n / p times; compare against that definition directly.
+        for len in 0..=8usize {
+            for code in 0..(1u32 << len) {
+                let s: Vec<Label> = (0..len).map(|i| Label(((code >> i) & 1) as u16)).collect();
+                let brute = (1..=len)
+                    .find(|&p| len.is_multiple_of(p) && (0..len).all(|i| s[i] == s[i % p]))
+                    .unwrap_or(0);
+                assert_eq!(minimum_repeat_len(&s), brute, "sequence {s:?}");
+            }
+        }
     }
 
     #[test]

@@ -233,7 +233,7 @@ mod tests {
             hub: v1,
             mr: fake_mr,
         };
-        let index = RlcIndex::from_rows(
+        let index = RlcIndex::from_entry_rows(
             index.k(),
             index.order().clone(),
             catalog,
@@ -255,7 +255,7 @@ mod tests {
         let graph = fig2_graph();
         let (index, _) = build_index(&graph, &BuildConfig::new(2));
         // Drop every Lin entry: many true queries become unanswerable.
-        let index = RlcIndex::from_rows(
+        let index = RlcIndex::from_entry_rows(
             index.k(),
             index.order().clone(),
             index.catalog().clone(),
