@@ -25,8 +25,6 @@ pub struct FileAnalysis {
     pub path: String,
     /// Per-file rule findings (pre-suppression).
     pub findings: Vec<Finding>,
-    /// Shadow-rule findings (differential channel, never gate).
-    pub shadow: Vec<Finding>,
     /// Well-formed suppression directives found in the file.
     pub suppressions: Vec<Suppression>,
     /// Hygiene findings from malformed/unsuppressible directives.
@@ -41,8 +39,6 @@ pub struct FileAnalysis {
 pub struct FileReport {
     /// Findings that survived suppression, in source order.
     pub findings: Vec<Finding>,
-    /// Shadow-rule findings (reported, never gate, not suppressible).
-    pub shadow: Vec<Finding>,
     /// Every well-formed suppression directive (used or not), paired
     /// with the path holding it.
     pub suppressions: Vec<(String, Suppression)>,
@@ -80,11 +76,9 @@ pub fn analyze_file(path: &str, source: &str) -> FileAnalysis {
         scopes: &scopes,
         parsed: &parsed,
     };
-    let (mut findings, mut shadow) = rules::run_rules(&ctx);
+    let mut findings = rules::run_rules(&ctx);
     findings.sort();
     findings.dedup();
-    shadow.sort();
-    shadow.dedup();
     let facts = locks::extract(path, class, &lexed.tokens, &scopes, &parsed);
 
     // Collect directives, reporting malformed ones as hygiene findings.
@@ -132,7 +126,6 @@ pub fn analyze_file(path: &str, source: &str) -> FileAnalysis {
     FileAnalysis {
         path: path.to_owned(),
         findings,
-        shadow,
         suppressions,
         hygiene,
         facts,
@@ -192,13 +185,11 @@ pub fn resolve(mut files: Vec<FileAnalysis>) -> FileReport {
         kept.extend(hygiene);
         kept.sort();
         report.findings.extend(kept);
-        report.shadow.append(&mut file.shadow);
         report
             .suppressions
             .extend(file.suppressions.drain(..).map(|s| (file.path.clone(), s)));
     }
     report.findings.sort();
-    report.shadow.sort();
     report
 }
 
@@ -251,11 +242,13 @@ mod tests {
     }
 
     #[test]
-    fn shadow_rule_rejects_directive() {
-        let src = "// rlc-analyze: allow(untrusted-length) — shadow rules never gate\nfn f() {}\n";
+    fn retired_rule_directive_is_rejected() {
+        // The v1 `untrusted-length` heuristic is gone; a directive naming
+        // it names no rule.
+        let src = "// rlc-analyze: allow(untrusted-length) — v1 heuristic\nfn f() {}\n";
         let report = analyze_source(LIB, src);
         assert_eq!(report.findings.len(), 1);
-        assert!(report.findings[0].message.contains("cannot be suppressed"));
+        assert_eq!(report.findings[0].rule, SUPPRESSION_HYGIENE);
     }
 
     #[test]
@@ -275,18 +268,5 @@ mod tests {
         let report = analyze_source(LIB, src);
         assert!(report.findings.is_empty(), "{:?}", report.findings);
         assert!(report.suppressions[0].1.used);
-    }
-
-    #[test]
-    fn shadow_findings_do_not_gate() {
-        // v1 flags this (no checked_len sharing an ident), v2 also flags
-        // it; the v1 copy must land in `shadow`, the v2 copy in `findings`.
-        let src = "fn from_bytes(data: &[u8]) -> Vec<u8> {\n    let n = data[0] as usize;\n    \
-                   vec![0u8; n]\n}\n";
-        let report = analyze_source(LIB, src);
-        assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.findings[0].rule, crate::rules::UNTRUSTED_LENGTH_FLOW);
-        assert_eq!(report.shadow.len(), 1);
-        assert_eq!(report.shadow[0].rule, crate::rules::UNTRUSTED_LENGTH);
     }
 }

@@ -20,8 +20,8 @@ commands:
 
 options (check):
   --root <path>   workspace root to scan (default: current directory)
-  --json          machine-readable output (schema version 2: dataflow
-                  traces on findings, shadow_findings channel)
+  --json          machine-readable output (schema version 3: dataflow
+                  traces on findings)
   --stats         print a one-line summary even when the tree is clean
 ";
 
@@ -87,9 +87,7 @@ fn run_check(args: &[String]) -> ExitCode {
 
 fn print_rules() {
     for rule in RULES {
-        let suppress = if rule.shadow {
-            "shadow: differential only, never gates"
-        } else if rule.suppressible {
+        let suppress = if rule.suppressible {
             "suppressible"
         } else {
             "not suppressible"

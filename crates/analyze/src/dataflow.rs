@@ -3,7 +3,8 @@
 //! The engine runs a forward dataflow over one function body in source
 //! order, tracking which bindings are *tainted* (derived from a
 //! configured source — for the `untrusted-length-flow` rule, the
-//! byte-slice parameter of a binary decoder). It understands:
+//! byte-slice parameter of a binary loader, or every parameter of a decode
+//! helper taking a `Reader`). It understands:
 //!
 //! * `let` bindings, including typed patterns (`let n: usize = …`),
 //!   destructuring (`let (a, b) = …` taints both), `if let`/`while let`
@@ -91,7 +92,7 @@ pub fn taint_fn(tokens: &[Token], open: usize, close: usize, spec: &TaintSpec<'_
                 spec,
                 t,
                 format!(
-                    "untrusted byte-slice parameter `{name}` enters `{}`",
+                    "untrusted input parameter `{name}` enters `{}`",
                     spec.fn_name
                 ),
             )],

@@ -34,7 +34,7 @@
 //! acknowledged in place with `rlc-analyze: allow(<rule>) — <reason>`
 //! suppression directives (see [`suppress`]), which are themselves
 //! counted, reported, and flagged when stale. Dataflow findings carry
-//! machine-readable traces (JSON schema version 2).
+//! machine-readable traces (JSON schema version 3).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,7 +75,6 @@ pub fn run_check(root: &Path) -> io::Result<CheckOutcome> {
     Ok(CheckOutcome {
         files_scanned: files.len(),
         findings: report.findings,
-        shadow_findings: report.shadow,
         suppressions: report
             .suppressions
             .into_iter()

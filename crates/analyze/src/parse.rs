@@ -157,8 +157,11 @@ pub struct Param {
     /// Token index of the name.
     pub name_idx: usize,
     /// True when the declared type contains a `[u8]` slice (`&[u8]`,
-    /// `&mut &[u8]`, …) — the shape of every untrusted decode input.
+    /// `&mut &[u8]`, …) — the shape of every untrusted loader input.
     pub is_byte_slice: bool,
+    /// True when the declared type names `Reader` (`&mut Reader<'_>`, …) —
+    /// the bounded cursor decode helpers take.
+    pub is_reader: bool,
 }
 
 /// What kind of item a span describes.
@@ -494,14 +497,12 @@ fn parse_one_param(tokens: &[Token], start: usize, end: usize) -> Option<Param> 
     let colon = range.iter().enumerate().position(|(i, t)| {
         t.is_punct(':') && !glued_to_prev(range, i, ':') && !glued_to_next(range, i, ':')
     });
-    let is_byte_slice = match colon {
-        Some(c) => type_is_byte_slice(&range[c + 1..]),
-        None => false,
-    };
+    let ty = colon.map_or(&range[..0], |c| &range[c + 1..]);
     Some(Param {
         name: name_tok.text.clone(),
         name_idx: start + offset,
-        is_byte_slice,
+        is_byte_slice: type_is_byte_slice(ty),
+        is_reader: ty.iter().any(|t| t.is_ident("Reader")),
     })
 }
 

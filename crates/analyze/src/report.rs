@@ -1,10 +1,9 @@
 //! Workspace-level check outcome and its human/JSON renderings.
 //!
-//! The JSON schema is **version 2**: findings carry a machine-readable
-//! `trace` array (source → steps → sink spans) for the dataflow rules,
-//! rules carry a `shadow` flag, and the shadow rules' differential
-//! findings are reported in a top-level `shadow_findings` array that
-//! never affects the exit code.
+//! The JSON schema is **version 3**: findings carry a machine-readable
+//! `trace` array (source → steps → sink spans) for the dataflow rules.
+//! Version 3 drops version 2's `shadow` rule flag and `shadow_findings`
+//! channel together with the one shadow rule they reported.
 
 use crate::rules::{Finding, RULES};
 
@@ -28,8 +27,6 @@ pub struct SuppressionRecord {
 pub struct CheckOutcome {
     /// Surviving findings across all files, sorted by file/line/col.
     pub findings: Vec<Finding>,
-    /// Shadow-rule findings (differential channel; never gate).
-    pub shadow_findings: Vec<Finding>,
     /// Every suppression directive encountered.
     pub suppressions: Vec<SuppressionRecord>,
     /// Number of `.rs` files scanned.
@@ -42,7 +39,7 @@ impl CheckOutcome {
         self.suppressions.iter().filter(|s| s.used).count()
     }
 
-    /// `true` when the tree is clean (shadow findings do not gate).
+    /// `true` when the tree is clean.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
@@ -69,18 +66,11 @@ impl CheckOutcome {
     /// The `--stats` summary line CI logs show even on a clean tree.
     pub fn render_stats(&self) -> String {
         format!(
-            "rlc-analyze: {} files scanned, {} rules run, {} finding{}, {} shadow finding{}, \
-             {} suppression{} in force",
+            "rlc-analyze: {} files scanned, {} rules run, {} finding{}, {} suppression{} in force",
             self.files_scanned,
             RULES.len(),
             self.findings.len(),
             if self.findings.len() == 1 { "" } else { "s" },
-            self.shadow_findings.len(),
-            if self.shadow_findings.len() == 1 {
-                ""
-            } else {
-                "s"
-            },
             self.suppressions_in_force(),
             if self.suppressions_in_force() == 1 {
                 ""
@@ -90,10 +80,10 @@ impl CheckOutcome {
         )
     }
 
-    /// Machine-readable rendering of the whole outcome (schema version 2).
+    /// Machine-readable rendering of the whole outcome (schema version 3).
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");
-        out.push_str("\"version\":2,");
+        out.push_str("\"version\":3,");
         out.push_str(&format!("\"files_scanned\":{},", self.files_scanned));
         out.push_str("\"rules\":[");
         for (i, rule) in RULES.iter().enumerate() {
@@ -101,17 +91,14 @@ impl CheckOutcome {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"id\":{},\"summary\":{},\"suppressible\":{},\"shadow\":{}}}",
+                "{{\"id\":{},\"summary\":{},\"suppressible\":{}}}",
                 json_str(rule.id),
                 json_str(rule.summary),
-                rule.suppressible,
-                rule.shadow
+                rule.suppressible
             ));
         }
         out.push_str("],\"findings\":[");
         render_findings(&mut out, &self.findings);
-        out.push_str("],\"shadow_findings\":[");
-        render_findings(&mut out, &self.shadow_findings);
         out.push_str("],\"suppressions\":[");
         for (i, s) in self.suppressions.iter().enumerate() {
             if i > 0 {
@@ -127,9 +114,8 @@ impl CheckOutcome {
             ));
         }
         out.push_str(&format!(
-            "],\"summary\":{{\"findings\":{},\"shadow_findings\":{},\"suppressions_in_force\":{}}}}}",
+            "],\"summary\":{{\"findings\":{},\"suppressions_in_force\":{}}}}}",
             self.findings.len(),
-            self.shadow_findings.len(),
             self.suppressions_in_force()
         ));
         out
@@ -203,7 +189,7 @@ mod tests {
         let line = outcome.render_stats();
         assert!(line.contains("3 files scanned"));
         assert!(line.contains("0 findings"));
-        assert!(line.contains("0 shadow findings"));
+        assert!(line.contains("0 suppressions in force"));
     }
 
     #[test]
@@ -219,16 +205,8 @@ mod tests {
                     file: "crates/x/src/lib.rs".to_owned(),
                     line: 2,
                     col: 5,
-                    note: "untrusted byte-slice parameter `data`".to_owned(),
+                    note: "untrusted input parameter `data`".to_owned(),
                 }],
-            }],
-            shadow_findings: vec![Finding {
-                file: "crates/x/src/lib.rs".to_owned(),
-                line: 3,
-                col: 7,
-                rule: crate::rules::UNTRUSTED_LENGTH,
-                message: "v1 shadow".to_owned(),
-                trace: Vec::new(),
             }],
             suppressions: vec![SuppressionRecord {
                 file: "crates/x/src/lib.rs".to_owned(),
@@ -241,12 +219,11 @@ mod tests {
         };
         let json = outcome.render_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"version\":2,"));
+        assert!(json.contains("\"version\":3,"));
         assert!(json.contains("\"findings\":["));
-        assert!(json.contains("\"shadow_findings\":["));
+        assert!(!json.contains("shadow"));
         assert!(json.contains("\"trace\":[{\"note\":"));
         assert!(json.contains("\\\"quotes\\\""));
-        assert!(json.contains("\"shadow\":true"));
         assert!(json.contains("\"suppressions_in_force\":1"));
     }
 

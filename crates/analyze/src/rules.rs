@@ -9,17 +9,11 @@
 //! Two rules need a whole-workspace view (`lock-order`,
 //! `atomic-pairing`); their implementations live in [`crate::locks`] and
 //! run during [`crate::analyze::resolve`] over the merged facts.
-//!
-//! The v1 lexical `untrusted-length` heuristic is kept for one release
-//! as a **shadow rule**: it still runs and its findings are reported in
-//! the `shadow_findings` channel for differential comparison against the
-//! taint-tracking `untrusted-length-flow`, but they never fail the check
-//! and cannot be suppressed.
 
 use crate::dataflow::{self, TaintSpec, TraceStep};
 use crate::lexer::{Token, TokenKind};
 use crate::parse::{matching, ParseFile};
-use crate::scope::{FileClass, FnSpan, Scopes};
+use crate::scope::{FileClass, Scopes};
 
 /// One diagnostic: a rule violated at a source position.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -47,8 +41,6 @@ pub const INTRINSICS_CONFINEMENT: &str = "intrinsics-confinement";
 pub const PANIC_FREE_LIBRARY: &str = "panic-free-library";
 /// Taint-tracked decoded lengths must be sanitized before sizing allocations.
 pub const UNTRUSTED_LENGTH_FLOW: &str = "untrusted-length-flow";
-/// The v1 lexical untrusted-length heuristic (shadow only).
-pub const UNTRUSTED_LENGTH: &str = "untrusted-length";
 /// The global lock-ordering graph is acyclic.
 pub const LOCK_ORDER: &str = "lock-order";
 /// Release/Acquire atomics pair up; Relaxed carries a reasoned suppression.
@@ -67,9 +59,6 @@ pub struct RuleInfo {
     pub summary: &'static str,
     /// Whether `rlc-analyze: allow(...)` directives can discharge it.
     pub suppressible: bool,
-    /// Shadow rules report differentially (never fail the check, never
-    /// suppressible).
-    pub shadow: bool,
 }
 
 /// The rule catalog, in reporting order.
@@ -78,41 +67,30 @@ pub const RULES: &[RuleInfo] = &[
         id: UNSAFE_CONFINEMENT,
         summary: "`unsafe` appears only in crates/core/src/kernel.rs",
         suppressible: false,
-        shadow: false,
     },
     RuleInfo {
         id: INTRINSICS_CONFINEMENT,
         summary: "core::arch/std::arch, feature detection, and #[target_feature] appear only in \
                   crates/core/src/kernel.rs",
         suppressible: false,
-        shadow: false,
     },
     RuleInfo {
         id: PANIC_FREE_LIBRARY,
         summary: "no unwrap/expect/panic!/todo!/unimplemented! in non-test library code",
         suppressible: true,
-        shadow: false,
     },
     RuleInfo {
         id: UNTRUSTED_LENGTH_FLOW,
-        summary: "forward taint dataflow in binary decode functions: no allocation sized by a \
-                  value derived from the input bytes unless it flowed through checked_len",
+        summary: "forward taint dataflow in binary decode functions (from_bytes/from_binary_* \
+                  and any fn taking a Reader): no allocation sized by a value derived from the \
+                  input unless it flowed through checked_len",
         suppressible: true,
-        shadow: false,
-    },
-    RuleInfo {
-        id: UNTRUSTED_LENGTH,
-        summary: "shadow of the v1 identifier-sharing untrusted-length heuristic, kept one \
-                  release for differential comparison against untrusted-length-flow",
-        suppressible: false,
-        shadow: true,
     },
     RuleInfo {
         id: LOCK_ORDER,
         summary: "the workspace-global lock-ordering graph (per-function nesting plus one \
                   call-graph hop, over static lock identities) has no cycles",
         suppressible: true,
-        shadow: false,
     },
     RuleInfo {
         id: ATOMIC_PAIRING,
@@ -120,21 +98,18 @@ pub const RULES: &[RuleInfo] = &[
                   somewhere in the workspace (and vice versa); Relaxed requires a reasoned \
                   suppression",
         suppressible: true,
-        shadow: false,
     },
     RuleInfo {
         id: DEPRECATED_SURFACE,
         summary: "the retired 0.2 API surface (evaluate_rlc/evaluate_concat, #[deprecated]) \
                   stays deleted",
         suppressible: false,
-        shadow: false,
     },
     RuleInfo {
         id: SUPPRESSION_HYGIENE,
         summary: "suppression directives parse, name a known rule, state a reason, and discharge \
                   a real finding",
         suppressible: false,
-        shadow: false,
     },
 ];
 
@@ -174,17 +149,15 @@ impl FileContext<'_> {
     }
 }
 
-/// Runs every per-file rule over one file; returns `(findings, shadow)`.
-pub fn run_rules(ctx: &FileContext<'_>) -> (Vec<Finding>, Vec<Finding>) {
+/// Runs every per-file rule over one file.
+pub fn run_rules(ctx: &FileContext<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let mut shadow = Vec::new();
     unsafe_confinement(ctx, &mut findings);
     intrinsics_confinement(ctx, &mut findings);
     panic_free_library(ctx, &mut findings);
     untrusted_length_flow(ctx, &mut findings);
-    untrusted_length(ctx, &mut shadow);
     deprecated_surface(ctx, &mut findings);
-    (findings, shadow)
+    findings
 }
 
 fn unsafe_confinement(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
@@ -292,9 +265,9 @@ fn panic_free_library(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// True for functions that decode untrusted binary formats: the
-/// `from_bytes` loaders of RLC3/ETC1/RSH1 and the `from_binary_*` RLG1
-/// loader. Both untrusted-length rules run only inside these.
+/// True for the loaders of untrusted binary formats: the `from_bytes`
+/// loaders of RLC3/ETC1/RSH1 and the `from_binary_*` RLG1 loader, whose
+/// byte-slice parameters are taint sources.
 fn is_decode_fn(name: &str) -> bool {
     name == "from_bytes" || name.starts_with("from_binary")
 }
@@ -302,17 +275,29 @@ fn is_decode_fn(name: &str) -> bool {
 /// The shared bound-check helper every decoded length must flow through.
 const BOUND_HELPER: &str = "checked_len";
 
-/// The v2 rule: forward taint dataflow from the decoder's byte-slice
-/// parameter to allocation-size sinks, sanitized only by `checked_len`.
+/// Forward taint dataflow from a decoder's untrusted input to
+/// allocation-size sinks, sanitized only by `checked_len`.
+///
+/// The sources are the byte-slice parameters of a loader and every
+/// parameter of a function taking a `Reader`: such a decode helper gets
+/// its counts from the loader that read them off the same input, so a
+/// helper split out of a loader stays covered.
 fn untrusted_length_flow(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     for (item, name, params, body) in ctx.parsed.fns() {
-        if !is_decode_fn(name) || ctx.scopes.in_test(item.start) {
+        if ctx.scopes.in_test(item.start) {
             continue;
         }
         let Some(open) = body else { continue };
+        let takes_reader = params.iter().any(|p| p.is_reader);
         let sources: Vec<(String, usize)> = params
             .iter()
-            .filter(|p| p.is_byte_slice)
+            .filter(|p| {
+                if takes_reader {
+                    p.name != "self"
+                } else {
+                    p.is_byte_slice && is_decode_fn(name)
+                }
+            })
             .map(|p| (p.name.clone(), p.name_idx))
             .collect();
         if sources.is_empty() {
@@ -341,142 +326,6 @@ fn untrusted_length_flow(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
             });
         }
     }
-}
-
-/// The v1 shadow rule: the identifier-sharing heuristic, unchanged.
-fn untrusted_length(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    let decode_fns: Vec<&FnSpan> = ctx
-        .scopes
-        .fns()
-        .iter()
-        .filter(|f| is_decode_fn(&f.name))
-        .collect();
-    for span in decode_fns {
-        // Nested decode helpers would be scanned twice via their parent's
-        // span; that is harmless (identical findings deduplicate later).
-        scan_decode_span(ctx, span, out);
-    }
-}
-
-fn scan_decode_span(ctx: &FileContext<'_>, span: &FnSpan, out: &mut Vec<Finding>) {
-    let tokens = ctx.tokens;
-    let mut i = span.start;
-    while i < span.end.min(tokens.len()) {
-        if ctx.scopes.in_test(i) {
-            i += 1;
-            continue;
-        }
-        let token = &tokens[i];
-        // `Xyz::with_capacity(args)`
-        if token.is_ident("with_capacity")
-            && tokens.get(i + 1).map(|t| t.is_punct('(')).unwrap_or(false)
-        {
-            let close = close_delim(tokens, i + 1, '(', ')');
-            check_size_expr(ctx, span, i, &tokens[i + 2..close], out);
-            i = close + 1;
-            continue;
-        }
-        // `vec![value; count]`
-        if token.is_ident("vec")
-            && tokens.get(i + 1).map(|t| t.is_punct('!')).unwrap_or(false)
-            && tokens.get(i + 2).map(|t| t.is_punct('[')).unwrap_or(false)
-        {
-            let close = close_delim(tokens, i + 2, '[', ']');
-            if let Some(semi) = top_level_semi(tokens, i + 3, close) {
-                check_size_expr(ctx, span, i, &tokens[semi + 1..close], out);
-            }
-            i = close + 1;
-            continue;
-        }
-        i += 1;
-    }
-}
-
-/// Index of the token closing the delimiter opened at `open` (exclusive
-/// bound of the contents).
-fn close_delim(tokens: &[Token], open: usize, open_ch: char, close_ch: char) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < tokens.len() {
-        if tokens[i].is_punct(open_ch) {
-            depth += 1;
-        } else if tokens[i].is_punct(close_ch) {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-        i += 1;
-    }
-    tokens.len()
-}
-
-/// Finds a `;` at delimiter depth zero within `start..end`.
-fn top_level_semi(tokens: &[Token], start: usize, end: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, token) in tokens
-        .iter()
-        .enumerate()
-        .take(end.min(tokens.len()))
-        .skip(start)
-    {
-        if token.is_punct('(') || token.is_punct('[') || token.is_punct('{') {
-            depth += 1;
-        } else if token.is_punct(')') || token.is_punct(']') || token.is_punct('}') {
-            depth = depth.saturating_sub(1);
-        } else if token.is_punct(';') && depth == 0 {
-            return Some(i);
-        }
-    }
-    None
-}
-
-fn check_size_expr(
-    ctx: &FileContext<'_>,
-    span: &FnSpan,
-    alloc_idx: usize,
-    size_expr: &[Token],
-    out: &mut Vec<Finding>,
-) {
-    let idents: Vec<&str> = size_expr
-        .iter()
-        .filter(|t| t.kind == TokenKind::Ident)
-        .map(|t| t.text.as_str())
-        .collect();
-    if idents.is_empty() {
-        return; // constant size: `with_capacity(16)` is not untrusted
-    }
-    // Look for an earlier `checked_len(...)` call in the same function
-    // whose arguments mention one of the identifiers sizing this
-    // allocation.
-    let tokens = ctx.tokens;
-    let mut i = span.start;
-    while i < alloc_idx.min(tokens.len()) {
-        let t = &tokens[i];
-        if t.is_ident(BOUND_HELPER) && tokens.get(i + 1).map(|t| t.is_punct('(')).unwrap_or(false) {
-            let close = close_delim(tokens, i + 1, '(', ')');
-            let checked: Vec<&str> = tokens[i + 2..close]
-                .iter()
-                .filter(|t| t.kind == TokenKind::Ident)
-                .map(|t| t.text.as_str())
-                .collect();
-            if idents.iter().any(|id| checked.contains(id)) {
-                return;
-            }
-            i = close + 1;
-            continue;
-        }
-        i += 1;
-    }
-    out.push(ctx.finding(
-        &tokens[alloc_idx],
-        UNTRUSTED_LENGTH,
-        format!(
-            "allocation sized by `{}` in a binary decode function without a division-form \
-             bound check; route the length through {BOUND_HELPER}() first",
-            idents.join(" "),
-        ),
-    ));
 }
 
 /// The retired API names from the 0.2 deprecation cycle.

@@ -10,9 +10,7 @@
 //!   architecture intrinsics are allowed to live;
 //! * **test spans** — token ranges under `#[cfg(test)]` / `#[test]`,
 //!   exempt from the library-surface rules;
-//! * **function spans** — the innermost named `fn` containing a token,
-//!   which the untrusted-length rules use to find binary decode functions
-//!   and to scope its search for bound checks.
+//! * **function spans** — the innermost named `fn` containing a token.
 
 use crate::lexer::{Token, TokenKind};
 

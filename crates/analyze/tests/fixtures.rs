@@ -3,11 +3,11 @@
 //! The `fixtures/` directory is excluded from `check`'s walk, so the
 //! deliberately bad files never pollute a real run.
 //!
-//! The `flow_launder_bad` / `flow_const_good` pair is the differential
-//! regression for the v1 → v2 untrusted-length migration: the first is
-//! a false negative of the identifier-sharing heuristic (v1 silent, v2
-//! flags with a trace), the second a false positive (v1 flags, v2
-//! silent). Both directions are asserted via the shadow channel.
+//! The `flow_launder_bad` / `flow_const_good` pair pins the two cases
+//! the retired v1 identifier-sharing heuristic got wrong: a laundered
+//! length it missed and a constant rebind it flagged. The
+//! `reader_helper_*` pair pins that a function taking a `Reader` is a
+//! decoder whatever its name.
 
 use rlc_analyze::analyze::analyze_source;
 use rlc_analyze::rules;
@@ -28,15 +28,6 @@ fn fixture(name: &str) -> String {
 fn spans(name: &str, virtual_path: &str) -> Vec<(u32, u32, &'static str)> {
     analyze_source(virtual_path, &fixture(name))
         .findings
-        .into_iter()
-        .map(|f| (f.line, f.col, f.rule))
-        .collect()
-}
-
-/// Same, for the shadow (v1 differential) channel.
-fn shadow_spans(name: &str, virtual_path: &str) -> Vec<(u32, u32, &'static str)> {
-    analyze_source(virtual_path, &fixture(name))
-        .shadow
         .into_iter()
         .map(|f| (f.line, f.col, f.rule))
         .collect()
@@ -90,7 +81,6 @@ fn panic_bad_flags_unwrap_and_todo() {
 #[test]
 fn untrusted_good_checked_len_flow_is_clean_in_both_engines() {
     assert_eq!(spans("untrusted_good.rs", LIB), vec![]);
-    assert_eq!(shadow_spans("untrusted_good.rs", LIB), vec![]);
 }
 
 #[test]
@@ -103,23 +93,13 @@ fn untrusted_bad_flags_every_sink_form() {
             (13, 5, rules::UNTRUSTED_LENGTH_FLOW),
         ]
     );
-    // v1 knew with_capacity and vec![_; n] but not Vec::resize.
-    assert_eq!(
-        shadow_spans("untrusted_bad.rs", LIB),
-        vec![
-            (6, 24, rules::UNTRUSTED_LENGTH),
-            (13, 5, rules::UNTRUSTED_LENGTH),
-        ]
-    );
 }
 
 #[test]
 fn laundered_length_is_a_v1_false_negative_v2_catches() {
-    // v1: `n` appears inside a checked_len call, so identifier sharing
-    // calls the sink sanitized — silence.
-    assert_eq!(shadow_spans("flow_launder_bad.rs", LIB), vec![]);
-    // v2: the dataflow sees the final `n` rebound from the unchecked
-    // `declared`, and reports the provenance chain.
+    // `n` appears inside a checked_len call, so v1's identifier sharing
+    // called the sink sanitized; the dataflow sees the final `n` rebound
+    // from the unchecked `declared`, and reports the provenance chain.
     let report = analyze_source(LIB, &fixture("flow_launder_bad.rs"));
     let flow: Vec<(u32, u32, &str)> = report
         .findings
@@ -142,13 +122,41 @@ fn laundered_length_is_a_v1_false_negative_v2_catches() {
 
 #[test]
 fn constant_rebind_is_a_v1_false_positive_v2_accepts() {
-    // v1: `count` shares no identifier with a checked_len call — flagged.
-    assert_eq!(
-        shadow_spans("flow_const_good.rs", LIB),
-        vec![(9, 10, rules::UNTRUSTED_LENGTH)]
-    );
-    // v2: the binding is rebound to a constant before the sink.
+    // `count` shares no identifier with a checked_len call, so v1 flagged
+    // it; the binding is rebound to a constant before the sink.
     assert_eq!(spans("flow_const_good.rs", LIB), vec![]);
+}
+
+#[test]
+fn reader_helper_bad_is_a_decoder_by_its_parameter() {
+    let report = analyze_source(LIB, &fixture("reader_helper_bad.rs"));
+    let flow: Vec<(u32, u32, &str)> = report
+        .findings
+        .iter()
+        .map(|f| (f.line, f.col, f.rule))
+        .collect();
+    assert_eq!(
+        flow,
+        vec![
+            (10, 26, rules::UNTRUSTED_LENGTH_FLOW),
+            (18, 24, rules::UNTRUSTED_LENGTH_FLOW),
+        ]
+    );
+    let sources: Vec<&str> = report
+        .findings
+        .iter()
+        .map(|f| f.trace[0].note.as_str())
+        .collect();
+    assert!(
+        sources[0].contains("parameter `r` enters `read_table`")
+            && sources[1].contains("parameter `rows` enters `read_rows`"),
+        "{sources:?}"
+    );
+}
+
+#[test]
+fn reader_helper_good_checked_len_on_the_reader_sanitizes() {
+    assert_eq!(spans("reader_helper_good.rs", LIB), vec![]);
 }
 
 #[test]
@@ -292,6 +300,7 @@ fn corpus_exact_finding_counts() {
         ("panic_bad.rs", 2),
         ("untrusted_bad.rs", 3),
         ("flow_launder_bad.rs", 1),
+        ("reader_helper_bad.rs", 2),
         ("lock_order_bad.rs", 1),
         ("pairing_bad.rs", 3),
         ("atomic_bad.rs", 1),
@@ -310,6 +319,7 @@ fn corpus_exact_finding_counts() {
         "panic_good.rs",
         "untrusted_good.rs",
         "flow_const_good.rs",
+        "reader_helper_good.rs",
         "lock_order_good.rs",
         "pairing_good.rs",
         "atomic_good.rs",

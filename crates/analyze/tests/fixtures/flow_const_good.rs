@@ -1,4 +1,4 @@
-//! Dual of the laundering fixture: v1 false-positives here, because no
+//! Dual of the laundering fixture: v1 false-positived here, because no
 //! identifier is shared with a `checked_len` call, while the v2
 //! dataflow sees the binding rebound to a constant before it reaches
 //! the sink and stays quiet.

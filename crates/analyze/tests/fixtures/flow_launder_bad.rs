@@ -1,4 +1,4 @@
-//! Known-bad the v1 shadow heuristic misses: the tainted length is
+//! Known-bad the retired v1 heuristic missed: the tainted length is
 //! laundered through a rebinding that shares no identifier with any
 //! `checked_len` call, so identifier sharing says "sanitized" while
 //! the dataflow sees the sink fed by the raw decoded byte.

@@ -1,4 +1,4 @@
-//! Known-good for untrusted-length: the decoded count flows through the
+//! Known-good for untrusted-length-flow: the decoded count flows through the
 //! shared division-form bound check before sizing the allocation, and
 //! constant-size allocations are exempt.
 

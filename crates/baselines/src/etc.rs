@@ -11,14 +11,13 @@ use rlc_core::catalog::{MrCatalog, MrId};
 use rlc_core::engine::Generation;
 use rlc_core::repeats::minimum_repeat_len;
 use rlc_core::RlcQuery;
-use rlc_graph::{Label, LabeledGraph, VertexId};
-use serde::{Deserialize, Serialize};
+use rlc_graph::{Label, LabeledGraph, Reader, VertexId};
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Configuration for building an [`EtcIndex`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EtcBuildConfig {
     /// The recursive `k`.
     pub k: usize,
@@ -53,7 +52,7 @@ impl EtcBuildConfig {
 }
 
 /// Build statistics of an [`EtcIndex`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EtcStats {
     /// Wall-clock build time.
     pub duration: Duration,
@@ -72,6 +71,8 @@ pub struct EtcIndex {
     /// Number of vertices of the indexed graph; bounds every vertex id in
     /// `closure` (also enforced when deserializing untrusted blobs).
     vertices: usize,
+    /// Each pair's minimum repeats in ascending id order, so equal closures
+    /// hold, and serialize to, equal lists.
     closure: HashMap<(VertexId, VertexId), Vec<MrId>>,
     catalog: MrCatalog,
     stats: EtcStats,
@@ -179,6 +180,11 @@ impl EtcIndex {
             }
         }
 
+        // Lists fill in discovery order, and phase 2 walks `frontiers` in
+        // hash order: sort them so the closure does not depend on either.
+        for mrs in closure.values_mut() {
+            mrs.sort_unstable();
+        }
         let pairs = closure.len();
         EtcIndex {
             k: config.k,
@@ -265,41 +271,25 @@ impl EtcIndex {
     ///
     /// Layout (all integers little-endian): header (`k` as `u32`, vertex
     /// count as `u64`, catalog size as `u64`, pair count as `u64`, the
-    /// timed-out flag as one byte), the
-    /// catalog sequences (`u16` length + `u16` labels each), then per pair
-    /// `u32` source, `u32` target, `u32` MR count and the `u32` MR ids.
-    /// Pairs are written in sorted order so equal closures serialize to
-    /// identical bytes. Returns an error instead of silently truncating
-    /// when a field exceeds its on-disk width.
+    /// timed-out flag as one byte), the catalog section
+    /// ([`MrCatalog::encode`]), then per pair `u32` source, `u32` target,
+    /// `u32` MR count and the `u32` MR ids in ascending order. Pairs are
+    /// written in sorted order, so equal closures serialize to identical
+    /// bytes. Returns an error instead of silently truncating when a field
+    /// exceeds its on-disk width.
     pub fn try_to_bytes(&self) -> Result<Vec<u8>, String> {
-        use bytes::BufMut;
+        let k = u32::try_from(self.k).map_err(|_| format!("recursive k {} exceeds u32", self.k))?;
         let mut buf = Vec::with_capacity(32 + self.stats.records * 4 + self.closure.len() * 12);
-        buf.put_u32_le(ETC_MAGIC);
-        buf.put_u32_le(
-            u32::try_from(self.k).map_err(|_| format!("recursive k {} exceeds u32", self.k))?,
-        );
-        buf.put_u64_le(self.vertices as u64);
-        buf.put_u64_le(self.catalog.len() as u64);
-        buf.put_u64_le(self.closure.len() as u64);
-        buf.put_u8(self.stats.timed_out as u8);
-        for (id, seq) in self.catalog.iter() {
-            let len = u16::try_from(seq.len()).map_err(|_| {
-                format!(
-                    "catalog sequence {} has {} labels, exceeding the u16 length field",
-                    id.0,
-                    seq.len()
-                )
-            })?;
-            buf.put_u16_le(len);
-            for label in seq {
-                buf.put_u16_le(label.0);
-            }
+        buf.extend_from_slice(&ETC_MAGIC.to_le_bytes());
+        buf.extend_from_slice(&k.to_le_bytes());
+        for count in [self.vertices, self.catalog.len(), self.closure.len()] {
+            buf.extend_from_slice(&(count as u64).to_le_bytes());
         }
+        buf.push(self.stats.timed_out as u8);
+        self.catalog.encode(&mut buf)?;
         let mut pairs: Vec<(&(VertexId, VertexId), &Vec<MrId>)> = self.closure.iter().collect();
         pairs.sort_unstable_by_key(|(pair, _)| **pair);
         for (&(source, target), mrs) in pairs {
-            buf.put_u32_le(source);
-            buf.put_u32_le(target);
             let count = u32::try_from(mrs.len()).map_err(|_| {
                 format!(
                     "pair ({source}, {target}) has {} minimum repeats, exceeding the u32 \
@@ -307,9 +297,11 @@ impl EtcIndex {
                     mrs.len()
                 )
             })?;
-            buf.put_u32_le(count);
+            for word in [source, target, count] {
+                buf.extend_from_slice(&word.to_le_bytes());
+            }
             for mr in mrs {
-                buf.put_u32_le(mr.0);
+                buf.extend_from_slice(&mr.0.to_le_bytes());
             }
         }
         Ok(buf)
@@ -321,41 +313,26 @@ impl EtcIndex {
     /// corruption-blob treatment as `RlcIndex::from_bytes`: untrusted size
     /// fields are bounded by the bytes actually present (division form, no
     /// multiplication overflow), catalog sequences must be distinct minimum
-    /// repeats, vertex ids must be in range, MR references must resolve, MR
-    /// lists must be duplicate-free, pairs must be unique, and trailing
-    /// bytes are rejected.
+    /// repeats of at most `k` labels, vertex ids must be in range, MR lists
+    /// must be strictly increasing and resolve in the catalog, pairs must be
+    /// unique, and trailing bytes are rejected.
     pub fn from_bytes(data: &[u8]) -> Result<Self, String> {
-        use bytes::Buf;
-        let mut buf = data;
-        let corrupt = |what: &str| -> String {
-            format!("truncated or corrupt ETC data while reading {what}")
-        };
-        let check = |ok: bool, what: &str| -> Result<(), String> {
-            if ok {
-                Ok(())
-            } else {
-                Err(corrupt(what))
-            }
-        };
-        check(buf.remaining() >= 33, "header")?;
-        let magic = buf.get_u32_le();
+        let mut r = Reader::new(data);
+        let magic = r.u32()?;
         if magic != ETC_MAGIC {
             return Err(format!("bad magic {magic:#x}, not an ETC blob"));
         }
-        let k = buf.get_u32_le() as usize;
+        let k = r.u32()? as usize;
         if k == 0 {
             return Err("corrupt ETC data: recursive k must be at least 1".to_owned());
         }
-        let vertices = usize::try_from(buf.get_u64_le())
-            .map_err(|_| "corrupt ETC data: vertex count exceeds usize".to_owned())?;
+        let vertices = r.u64_count()?;
         if vertices > u32::MAX as usize {
             return Err("corrupt ETC data: vertex count exceeds the u32 id range".to_owned());
         }
-        let catalog_len = usize::try_from(buf.get_u64_le())
-            .map_err(|_| "corrupt ETC data: catalog size exceeds usize".to_owned())?;
-        let pair_count = usize::try_from(buf.get_u64_le())
-            .map_err(|_| "corrupt ETC data: pair count exceeds usize".to_owned())?;
-        let timed_out = match buf.get_u8() {
+        let catalog_len = r.u64_count()?;
+        let pair_count = r.u64_count()?;
+        let timed_out = match r.u8()? {
             0 => false,
             1 => true,
             other => {
@@ -364,38 +341,13 @@ impl EtcIndex {
                 ))
             }
         };
-        let catalog_len = rlc_graph::checked_len(catalog_len, 2, buf.remaining())
-            .map_err(|_| corrupt("catalog"))?;
-        let mut sequences = Vec::new();
-        for i in 0..catalog_len {
-            check(buf.remaining() >= 2, "catalog entry length")?;
-            let len = buf.get_u16_le() as usize;
-            check(buf.remaining() >= 2 * len, "catalog entry")?;
-            let seq: Vec<Label> = (0..len).map(|_| Label(buf.get_u16_le())).collect();
-            if !rlc_core::repeats::is_minimum_repeat(&seq) {
-                return Err(format!(
-                    "corrupt ETC data: catalog sequence {i} is not a minimum repeat"
-                ));
-            }
-            if seq.len() > k {
-                return Err(format!(
-                    "corrupt ETC data: catalog sequence {i} has {len} labels but k = {k}"
-                ));
-            }
-            sequences.push(seq);
-        }
-        let catalog = MrCatalog::from_sequences(sequences).map_err(|i| {
-            format!("corrupt ETC data: catalog sequence {i} duplicates an earlier sequence")
-        })?;
-        let pair_count = rlc_graph::checked_len(pair_count, 12, buf.remaining())
-            .map_err(|_| corrupt("pair table"))?;
+        let catalog = MrCatalog::decode(&mut r, catalog_len, k)?;
+        let pair_count = r.checked_len(pair_count, 12, "pair table")?;
         let mut closure: HashMap<(VertexId, VertexId), Vec<MrId>> =
             HashMap::with_capacity(pair_count);
         let mut records = 0usize;
         for _ in 0..pair_count {
-            check(buf.remaining() >= 12, "pair header")?;
-            let source = buf.get_u32_le();
-            let target = buf.get_u32_le();
+            let (source, target) = (r.u32()?, r.u32()?);
             for id in [source, target] {
                 if id as usize >= vertices {
                     return Err(format!(
@@ -403,27 +355,22 @@ impl EtcIndex {
                     ));
                 }
             }
-            let count = buf.get_u32_le() as usize;
-            let count = rlc_graph::checked_len(count, 4, buf.remaining())
-                .map_err(|_| corrupt("pair MR list"))?;
-            let mut mrs = Vec::with_capacity(count);
-            for _ in 0..count {
-                let mr = MrId(buf.get_u32_le());
-                if mr.index() >= catalog_len {
-                    return Err(format!(
-                        "corrupt ETC data: pair ({source}, {target}) references unknown \
-                         minimum repeat {}",
-                        mr.0
-                    ));
-                }
-                if mrs.contains(&mr) {
-                    return Err(format!(
-                        "corrupt ETC data: pair ({source}, {target}) lists minimum repeat {} \
-                         twice",
-                        mr.0
-                    ));
-                }
-                mrs.push(mr);
+            let count = r.u32()? as usize;
+            let count = r.checked_len(count, 4, "pair MR list")?;
+            let mrs: Vec<MrId> = r.u32s(count)?.into_iter().map(MrId).collect();
+            if mrs.windows(2).any(|pair| pair[0] >= pair[1]) {
+                return Err(format!(
+                    "corrupt ETC data: minimum repeats of pair ({source}, {target}) are not \
+                     strictly increasing"
+                ));
+            }
+            // Ascending, so the last id is the largest.
+            if let Some(mr) = mrs.last().filter(|mr| mr.index() >= catalog.len()) {
+                return Err(format!(
+                    "corrupt ETC data: pair ({source}, {target}) references unknown \
+                     minimum repeat {}",
+                    mr.0
+                ));
             }
             records += mrs.len();
             if closure.insert((source, target), mrs).is_some() {
@@ -432,12 +379,7 @@ impl EtcIndex {
                 ));
             }
         }
-        if buf.remaining() > 0 {
-            return Err(format!(
-                "corrupt ETC data: {} trailing bytes after the last pair",
-                buf.remaining()
-            ));
-        }
+        r.finish()?;
         let pairs = closure.len();
         Ok(EtcIndex {
             k,

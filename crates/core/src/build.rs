@@ -65,14 +65,13 @@ use crate::catalog::{MrCatalog, MrId};
 use crate::index::{key_mr, key_rank, pack_key, RlcIndex};
 use crate::order::{compute_order, OrderingStrategy, VertexOrder};
 use rlc_graph::{Label, LabeledGraph, VertexId};
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, Hasher};
 use std::time::{Duration, Instant};
 
 /// Which kernel-search strategy to use (§IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KbsStrategy {
     /// Determine kernel candidates as soon as a sequence of length ≤ `k` is
     /// seen (the strategy the paper adopts: cheaper because enumerating all
@@ -86,7 +85,7 @@ pub enum KbsStrategy {
 }
 
 /// Configuration of an index build.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BuildConfig {
     /// The recursive `k`: the maximum constraint length the index will
     /// support.
@@ -174,7 +173,7 @@ impl Default for BuildConfig {
 }
 
 /// Counters and timing collected while building an index.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildStats {
     /// Wall-clock build time.
     pub duration: Duration,

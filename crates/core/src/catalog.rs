@@ -7,11 +7,10 @@
 //! single integer comparison.
 
 use crate::repeats::is_minimum_repeat;
-use rlc_graph::Label;
-use serde::{Deserialize, Serialize};
+use rlc_graph::{Label, Reader};
 
 /// Dense identifier of an interned minimum repeat.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MrId(pub u32);
 
 impl MrId {
@@ -31,15 +30,13 @@ impl MrId {
 /// sequences, so the `O(C)` insert into that list on a first intern is
 /// cheap.
 ///
-/// Only the sequence list is serialized; deserialization rebuilds the
-/// sorted lookup automatically, so a deserialized catalog resolves
-/// constraints immediately.
-#[derive(Debug, Clone, Default, Serialize)]
+/// The catalog section of the `RLC3` and `ETC1` formats is written by
+/// [`MrCatalog::encode`] and read back by [`MrCatalog::decode`].
+#[derive(Debug, Clone, Default)]
 pub struct MrCatalog {
     sequences: Vec<Vec<Label>>,
     /// `(lookup_key(sequence), id)` for every id, sorted by key, then by
     /// sequence, then by id.
-    #[serde(skip)]
     lookup: Vec<(u64, MrId)>,
 }
 
@@ -54,21 +51,6 @@ fn lookup_key(seq: &[Label]) -> u64 {
         .fold(len << 48, |key, (label, shift)| {
             key | u64::from(label.0) << shift
         })
-}
-
-impl Deserialize for MrCatalog {
-    /// Reconstructs the catalog and rebuilds the skipped lookup.
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected a map for MrCatalog"))?;
-        let mut catalog = MrCatalog {
-            sequences: serde::map_field(entries, "sequences", "MrCatalog")?,
-            lookup: Vec::new(),
-        };
-        catalog.rebuild_lookup();
-        Ok(catalog)
-    }
 }
 
 impl MrCatalog {
@@ -120,6 +102,56 @@ impl MrCatalog {
         Err(self.lookup.len())
     }
 
+    /// Appends the catalog section: every sequence in id order, each a
+    /// `u16` length followed by its `u16` labels.
+    ///
+    /// Returns an error instead of silently truncating a sequence longer
+    /// than the `u16` length field.
+    pub fn encode(&self, buf: &mut Vec<u8>) -> Result<(), String> {
+        for (id, seq) in self.iter() {
+            let len = u16::try_from(seq.len()).map_err(|_| {
+                format!(
+                    "catalog sequence {} has {} labels, exceeding the u16 length field",
+                    id.0,
+                    seq.len()
+                )
+            })?;
+            buf.extend_from_slice(&len.to_le_bytes());
+            for label in seq {
+                buf.extend_from_slice(&label.0.to_le_bytes());
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads a catalog section of `count` sequences written by
+    /// [`MrCatalog::encode`] for an index of recursive bound `k`: every
+    /// sequence must be a minimum repeat of at most `k` labels, and no two
+    /// may be equal.
+    pub fn decode(r: &mut Reader<'_>, count: usize, k: usize) -> Result<Self, String> {
+        let count = r.checked_len(count, 2, "catalog")?;
+        let mut sequences = Vec::with_capacity(count);
+        for i in 0..count {
+            let len = usize::from(r.u16()?);
+            if len > k {
+                return Err(format!(
+                    "corrupt catalog: sequence {i} has {len} labels but k = {k}"
+                ));
+            }
+            let seq = (0..len)
+                .map(|_| r.u16().map(Label))
+                .collect::<Result<Vec<_>, _>>()?;
+            if !is_minimum_repeat(&seq) {
+                return Err(format!(
+                    "corrupt catalog: sequence {i} is not a minimum repeat"
+                ));
+            }
+            sequences.push(seq);
+        }
+        Self::from_sequences(sequences)
+            .map_err(|i| format!("corrupt catalog: sequence {i} duplicates an earlier sequence"))
+    }
+
     /// Builds a catalog from sequences given in id order, as a decoder reads
     /// them: one sort instead of one sorted insert per sequence, so a hostile
     /// blob listing many sequences costs `O(C log C)`, not `O(C^2)`.
@@ -127,7 +159,7 @@ impl MrCatalog {
     /// # Errors
     ///
     /// Returns the index of the first sequence that repeats an earlier one.
-    pub fn from_sequences(sequences: Vec<Vec<Label>>) -> Result<Self, usize> {
+    fn from_sequences(sequences: Vec<Vec<Label>>) -> Result<Self, usize> {
         let mut catalog = MrCatalog {
             sequences,
             lookup: Vec::new(),
@@ -169,8 +201,8 @@ impl MrCatalog {
             .sum()
     }
 
-    /// Rebuilds the sorted lookup after deserialization.
-    pub fn rebuild_lookup(&mut self) {
+    /// Rebuilds the sorted lookup from the sequence list.
+    fn rebuild_lookup(&mut self) {
         let sequences = &self.sequences;
         self.lookup = sequences
             .iter()
@@ -227,18 +259,6 @@ mod tests {
     fn interning_reducible_sequence_panics_in_debug() {
         let mut catalog = MrCatalog::new();
         catalog.intern(&seq(&[0, 0]));
-    }
-
-    #[test]
-    fn serde_round_trip_is_self_healing() {
-        let mut catalog = MrCatalog::new();
-        let id = catalog.intern(&seq(&[0, 1, 2]));
-        let json = serde_json::to_string(&catalog).unwrap();
-        let back: MrCatalog = serde_json::from_str(&json).unwrap();
-        // The lookup is rebuilt by the custom Deserialize impl — no
-        // rebuild_lookup() call needed.
-        assert_eq!(back.resolve(&seq(&[0, 1, 2])), Some(id));
-        assert_eq!(back.len(), 1);
     }
 
     #[test]

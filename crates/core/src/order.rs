@@ -8,10 +8,9 @@
 //! strategies are provided for the ordering ablation study.
 
 use rlc_graph::{LabeledGraph, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Strategy for ordering vertices before indexing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderingStrategy {
     /// Descending `(|out(v)| + 1) × (|in(v)| + 1)` — the paper's choice.
     #[default]
@@ -31,7 +30,7 @@ pub enum OrderingStrategy {
 /// A computed vertex order: the processing sequence and the inverse map
 /// from vertex to *access id* (`aid`), the position at which the vertex is
 /// processed (0-based; smaller means earlier / higher priority).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VertexOrder {
     /// Vertices in processing order.
     pub sequence: Vec<VertexId>,

@@ -24,7 +24,7 @@ use std::fmt;
 /// The constraint must be its own minimum repeat (Definition 1); use
 /// [`RlcQuery::new`] to have this checked, or [`RlcQuery::normalized`] to
 /// reduce an arbitrary sequence to its MR first.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RlcQuery {
     /// Source vertex `s`.
     pub source: VertexId,

@@ -12,11 +12,10 @@ use crate::index::RlcIndex;
 use crate::query::RlcQuery;
 use crate::repeats::enumerate_minimum_repeats;
 use rlc_graph::{Label, LabeledGraph, VertexId};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 
 /// How much of the query space to verify.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerificationMode {
     /// Check every `(s, t, L)` combination — exponential in `k`, intended for
     /// small graphs (tests, debugging).
@@ -32,7 +31,7 @@ pub enum VerificationMode {
 }
 
 /// One disagreement between the index and the oracle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mismatch {
     /// Source vertex of the failing query.
     pub source: VertexId,
@@ -47,7 +46,7 @@ pub struct Mismatch {
 }
 
 /// Result of verifying an index.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerificationReport {
     /// Number of vertex pairs examined.
     pub pairs_checked: usize,

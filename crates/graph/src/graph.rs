@@ -1,14 +1,13 @@
 //! The immutable CSR-backed edge-labeled directed graph.
 
 use crate::label::{Label, LabelInterner};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Dense vertex identifier, `0..vertex_count()`.
 pub type VertexId = u32;
 
 /// A labeled directed edge `(source, label, target)`.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Edge {
     /// Source vertex.
     pub source: VertexId,
@@ -38,14 +37,9 @@ impl Edge {
 /// kernel-based searches from every vertex.
 ///
 /// Construct instances with [`crate::GraphBuilder`] or the generators in
-/// [`crate::generate`].
-///
-/// Deserialization is self-healing: the name and label lookup maps (which
-/// are skipped during serialization to keep the payload minimal) are rebuilt
-/// automatically by the manual [`Deserialize`] impl, so a freshly
-/// deserialized graph resolves [`LabeledGraph::vertex_id`] and label names
-/// without any extra call.
-#[derive(Debug, Clone, Serialize)]
+/// [`crate::generate`]; the persistent form is the `RLG1` edge list of
+/// [`crate::io`].
+#[derive(Debug, Clone)]
 pub struct LabeledGraph {
     vertex_count: usize,
     /// CSR offsets into `out_targets`/`out_labels`, length `vertex_count + 1`.
@@ -59,7 +53,6 @@ pub struct LabeledGraph {
     labels: LabelInterner,
     /// Optional vertex names (present when built from named input).
     vertex_names: Option<Vec<String>>,
-    #[serde(skip)]
     name_lookup: HashMap<String, VertexId>,
 }
 
@@ -233,22 +226,6 @@ impl LabeledGraph {
             .map(String::as_str)
     }
 
-    /// Rebuilds lookup maps after deserialization.
-    pub fn rebuild_lookups(&mut self) {
-        self.labels.rebuild_lookup();
-        self.name_lookup = self
-            .vertex_names
-            .as_ref()
-            .map(|names| {
-                names
-                    .iter()
-                    .enumerate()
-                    .map(|(i, n)| (n.clone(), i as VertexId))
-                    .collect()
-            })
-            .unwrap_or_default();
-    }
-
     /// Approximate in-memory size of the adjacency structures in bytes.
     ///
     /// Used when reporting the footprint of graphs and baseline indexes.
@@ -267,58 +244,6 @@ impl LabeledGraph {
         } else {
             self.edge_count() as f64 / self.vertex_count as f64
         }
-    }
-}
-
-impl Deserialize for LabeledGraph {
-    /// Reconstructs the graph and rebuilds the skipped lookup maps, so a
-    /// deserialized graph is immediately fully functional (no
-    /// [`LabeledGraph::rebuild_lookups`] call required).
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected a map for LabeledGraph"))?;
-        let mut graph = LabeledGraph {
-            vertex_count: serde::map_field(entries, "vertex_count", "LabeledGraph")?,
-            out_offsets: serde::map_field(entries, "out_offsets", "LabeledGraph")?,
-            out_targets: serde::map_field(entries, "out_targets", "LabeledGraph")?,
-            out_labels: serde::map_field(entries, "out_labels", "LabeledGraph")?,
-            in_offsets: serde::map_field(entries, "in_offsets", "LabeledGraph")?,
-            in_sources: serde::map_field(entries, "in_sources", "LabeledGraph")?,
-            in_labels: serde::map_field(entries, "in_labels", "LabeledGraph")?,
-            labels: serde::map_field(entries, "labels", "LabeledGraph")?,
-            vertex_names: serde::map_field(entries, "vertex_names", "LabeledGraph")?,
-            name_lookup: HashMap::new(),
-        };
-        // Structural sanity: the CSR arrays must be mutually consistent,
-        // otherwise adjacency accessors would panic or read garbage later.
-        // Checked: array lengths, offset monotonicity, neighbour and label
-        // ids in range, and one name per vertex when names are present.
-        let n = graph.vertex_count;
-        let label_count = graph.labels.len();
-        let consistent = graph.out_offsets.len() == n + 1
-            && graph.in_offsets.len() == n + 1
-            && graph.out_offsets.last().copied() == Some(graph.out_targets.len() as u32)
-            && graph.in_offsets.last().copied() == Some(graph.in_sources.len() as u32)
-            && graph.out_labels.len() == graph.out_targets.len()
-            && graph.in_labels.len() == graph.in_sources.len()
-            && graph.out_offsets.windows(2).all(|w| w[0] <= w[1])
-            && graph.in_offsets.windows(2).all(|w| w[0] <= w[1])
-            && graph.out_targets.iter().all(|&t| (t as usize) < n)
-            && graph.in_sources.iter().all(|&s| (s as usize) < n)
-            && graph.out_labels.iter().all(|l| l.index() < label_count)
-            && graph.in_labels.iter().all(|l| l.index() < label_count)
-            && graph
-                .vertex_names
-                .as_ref()
-                .is_none_or(|names| names.len() == n);
-        if !consistent {
-            return Err(serde::Error::custom(
-                "inconsistent CSR arrays in serialized LabeledGraph",
-            ));
-        }
-        graph.rebuild_lookups();
-        Ok(graph)
     }
 }
 
@@ -458,93 +383,6 @@ mod tests {
         assert_eq!(g.edge_count(), 3);
         let u = g.vertex_id("u").unwrap();
         assert_eq!(g.out_degree(u), 3);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_structure() {
-        let g = diamond();
-        let json = serde_json::to_string(&g).unwrap();
-        let back: LabeledGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.vertex_count(), g.vertex_count());
-        assert_eq!(back.edge_count(), g.edge_count());
-        let edges_a: Vec<_> = g.edges().collect();
-        let edges_b: Vec<_> = back.edges().collect();
-        assert_eq!(edges_a, edges_b);
-    }
-
-    #[test]
-    fn deserialization_is_self_healing() {
-        // No rebuild_lookups() call: name and label lookups must work
-        // straight out of from_str.
-        let g = diamond();
-        let json = serde_json::to_string(&g).unwrap();
-        let back: LabeledGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.vertex_id("a"), g.vertex_id("a"));
-        assert_eq!(back.vertex_id("d"), g.vertex_id("d"));
-        assert_eq!(back.labels().resolve("x"), g.labels().resolve("x"));
-        assert_eq!(back.vertex_name(back.vertex_id("b").unwrap()), Some("b"));
-    }
-
-    #[test]
-    fn inconsistent_serialized_graph_is_rejected() {
-        let g = diamond();
-        let json = serde_json::to_string(&g).unwrap();
-        // Corrupt the vertex count: the CSR offsets no longer match.
-        let corrupted = json.replacen("\"vertex_count\":4", "\"vertex_count\":3", 1);
-        assert_ne!(corrupted, json);
-        assert!(serde_json::from_str::<LabeledGraph>(&corrupted).is_err());
-    }
-
-    #[test]
-    fn non_monotonic_offsets_and_out_of_range_ids_are_rejected() {
-        let g = diamond();
-        let json = serde_json::to_string(&g).unwrap();
-        // Sanity: the uncorrupted form round-trips.
-        assert!(serde_json::from_str::<LabeledGraph>(&json).is_ok());
-        // Swap two interior out_offsets values so the array stays the same
-        // length and keeps its final value but is no longer monotone.
-        let offsets: Vec<u32> = (0..=g.vertex_count())
-            .map(|v| {
-                if v == 0 {
-                    0
-                } else {
-                    (0..v).map(|u| g.out_degree(u as VertexId) as u32).sum()
-                }
-            })
-            .collect();
-        let original = serde_json::to_string(&offsets).unwrap();
-        let mut shuffled = offsets.clone();
-        shuffled.swap(1, 2);
-        if shuffled != offsets {
-            let corrupted = json.replacen(
-                &format!("\"out_offsets\":{original}"),
-                &format!(
-                    "\"out_offsets\":{}",
-                    serde_json::to_string(&shuffled).unwrap()
-                ),
-                1,
-            );
-            assert_ne!(corrupted, json, "corruption must change the payload");
-            assert!(serde_json::from_str::<LabeledGraph>(&corrupted).is_err());
-        }
-        // Out-of-range target and label ids must also be rejected (replace
-        // the first value in place so every length check still passes).
-        for key in ["\"out_targets\":[", "\"out_labels\":["] {
-            let start = json.find(key).unwrap() + key.len();
-            let end = start
-                + json[start..]
-                    .find([',', ']'])
-                    .expect("diamond has out edges");
-            let corrupted = format!("{}99{}", &json[..start], &json[end..]);
-            assert!(
-                serde_json::from_str::<LabeledGraph>(&corrupted).is_err(),
-                "{key} corruption must be rejected"
-            );
-        }
-        // A name list shorter than the vertex count must be rejected.
-        let corrupted = json.replacen("\"a\",", "", 1);
-        assert_ne!(corrupted, json);
-        assert!(serde_json::from_str::<LabeledGraph>(&corrupted).is_err());
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! UTF-8 and duplicate-free, and trailing bytes are rejected — the same
 //! corruption-blob treatment as `RlcIndex::from_bytes`.
 
+use crate::bounds::{ReadError, Reader};
 use crate::builder::GraphBuilder;
 use crate::graph::{Edge, LabeledGraph};
 use crate::label::{Label, LabelInterner};
+use std::collections::HashSet;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -65,6 +67,12 @@ impl std::error::Error for EdgeListError {
 impl From<io::Error> for EdgeListError {
     fn from(e: io::Error) -> Self {
         EdgeListError::Io(e)
+    }
+}
+
+impl From<ReadError> for EdgeListError {
+    fn from(e: ReadError) -> Self {
+        EdgeListError::Corrupt(e.to_string())
     }
 }
 
@@ -159,19 +167,18 @@ const ISOLATED_VERTEX_ALLOWANCE: usize = 1 << 20;
 /// Layout (all integers little-endian): `u32` magic, `u32` vertex count,
 /// `u32` label count, `u64` edge count, one has-vertex-names flag byte, the
 /// label names (`u32` length + UTF-8 bytes each), the vertex names when the
-/// flag is set (same encoding), then the edges (`u32` source, `u16` label,
-/// `u32` target each, in out-edge order).
+/// flag is set (same encoding), then the edges (one [`write_edge`] record
+/// each, in out-edge order).
 pub fn to_binary_edge_list(graph: &LabeledGraph) -> Vec<u8> {
-    use bytes::BufMut;
     let mut buf = Vec::with_capacity(21 + graph.edge_count() * 10);
-    buf.put_u32_le(BINARY_MAGIC);
-    buf.put_u32_le(graph.vertex_count() as u32);
-    buf.put_u32_le(graph.label_count() as u32);
-    buf.put_u64_le(graph.edge_count() as u64);
+    buf.extend_from_slice(&BINARY_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&(graph.vertex_count() as u32).to_le_bytes());
+    buf.extend_from_slice(&(graph.label_count() as u32).to_le_bytes());
+    buf.extend_from_slice(&(graph.edge_count() as u64).to_le_bytes());
     let has_names = graph.vertex_count() > 0 && graph.vertex_name(0).is_some();
-    buf.put_u8(has_names as u8);
+    buf.push(has_names as u8);
     let put_name = |buf: &mut Vec<u8>, name: &str| {
-        buf.put_u32_le(name.len() as u32);
+        buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
         buf.extend_from_slice(name.as_bytes());
     };
     for i in 0..graph.label_count() {
@@ -191,43 +198,39 @@ pub fn to_binary_edge_list(graph: &LabeledGraph) -> Vec<u8> {
         }
     }
     for e in graph.edges() {
-        buf.put_u32_le(e.source);
-        buf.put_u16_le(e.label.0);
-        buf.put_u32_le(e.target);
+        write_edge(&mut buf, e);
     }
     buf
+}
+
+/// Appends one edge record — `u32` source, `u16` label, `u32` target — the
+/// form `RLG1` stores its edges in and `RSH1` its cut edges in, and that
+/// [`Reader::edge`] reads back.
+pub fn write_edge(buf: &mut Vec<u8>, edge: Edge) {
+    buf.extend_from_slice(&edge.source.to_le_bytes());
+    buf.extend_from_slice(&edge.label.0.to_le_bytes());
+    buf.extend_from_slice(&edge.target.to_le_bytes());
 }
 
 /// Deserializes a graph produced by [`to_binary_edge_list`], validating the
 /// blob as untrusted input (see the module documentation).
 pub fn from_binary_edge_list(data: &[u8]) -> Result<LabeledGraph, EdgeListError> {
-    use bytes::Buf;
-    let mut buf = data;
-    let corrupt = |what: &str| EdgeListError::Corrupt(what.to_owned());
-    let check = |ok: bool, what: &str| -> Result<(), EdgeListError> {
-        if ok {
-            Ok(())
-        } else {
-            Err(corrupt(what))
-        }
-    };
-    check(buf.remaining() >= 21, "header")?;
-    let magic = buf.get_u32_le();
+    let mut r = Reader::new(data);
+    let magic = r.u32()?;
     if magic != BINARY_MAGIC {
         return Err(EdgeListError::Corrupt(format!(
             "bad magic {magic:#x}, not a binary edge list"
         )));
     }
-    let vertex_count = buf.get_u32_le() as usize;
-    let label_count = buf.get_u32_le() as usize;
+    let vertex_count = r.u32()? as usize;
+    let label_count = r.u32()? as usize;
     if label_count > u16::MAX as usize + 1 {
         return Err(EdgeListError::Corrupt(format!(
             "label count {label_count} exceeds the u16 label id range"
         )));
     }
-    let edge_count =
-        usize::try_from(buf.get_u64_le()).map_err(|_| corrupt("edge count exceeds usize"))?;
-    let has_names = match buf.get_u8() {
+    let edge_count = r.u64_count()?;
+    let has_names = match r.u8()? {
         0 => false,
         1 => true,
         other => {
@@ -236,73 +239,41 @@ pub fn from_binary_edge_list(data: &[u8]) -> Result<LabeledGraph, EdgeListError>
             )))
         }
     };
-    // Untrusted size fields: bound them by the bytes actually present
-    // (division form, immune to multiplication overflow) before any loop or
-    // allocation sized by them. Named blobs bound the vertex count through
-    // the name table below; unnamed blobs must back vertices beyond the
-    // isolated-vertex allowance with edges (see ISOLATED_VERTEX_ALLOWANCE).
+    // Named blobs bound the vertex count through the name table; unnamed
+    // blobs must back vertices beyond the isolated-vertex allowance with
+    // edges (see ISOLATED_VERTEX_ALLOWANCE).
     if !has_names && vertex_count > edge_count.saturating_mul(2).max(ISOLATED_VERTEX_ALLOWANCE) {
         return Err(EdgeListError::Corrupt(format!(
             "unnamed blob declares {vertex_count} vertices but only {edge_count} edges \
              back them"
         )));
     }
-    let read_names =
-        |buf: &mut &[u8], count: usize, what: &str| -> Result<Vec<String>, EdgeListError> {
-            let count =
-                crate::bounds::checked_len(count, 4, buf.remaining()).map_err(|_| corrupt(what))?;
-            let mut names = Vec::with_capacity(count);
-            let mut seen = std::collections::HashSet::with_capacity(count);
-            for i in 0..count {
-                check(buf.remaining() >= 4, "name length")?;
-                let len = buf.get_u32_le() as usize;
-                check(len <= buf.remaining(), "name bytes")?;
-                let name = std::str::from_utf8(&buf[..len])
-                    .map_err(|_| EdgeListError::Corrupt(format!("{what} {i} is not valid UTF-8")))?
-                    .to_owned();
-                *buf = &buf[len..];
-                if !seen.insert(name.clone()) {
-                    return Err(EdgeListError::Corrupt(format!(
-                        "{what} {i} duplicates the name {name:?}"
-                    )));
-                }
-                names.push(name);
-            }
-            Ok(names)
-        };
-    let label_names = read_names(&mut buf, label_count, "label name")?;
+    let label_names = read_names(&mut r, label_count, "label name")?;
     let vertex_names = if has_names {
-        Some(read_names(&mut buf, vertex_count, "vertex name")?)
+        Some(read_names(&mut r, vertex_count, "vertex name")?)
     } else {
         None
     };
-    let edge_count = crate::bounds::checked_len(edge_count, 10, buf.remaining())
-        .map_err(|_| corrupt("edge table"))?;
+    let edge_count = r.checked_len(edge_count, 10, "edge table")?;
     let mut edges = Vec::with_capacity(edge_count);
     for _ in 0..edge_count {
-        let source = buf.get_u32_le();
-        let label = buf.get_u16_le();
-        let target = buf.get_u32_le();
-        for id in [source, target] {
+        let edge = r.edge()?;
+        for id in [edge.source, edge.target] {
             if id as usize >= vertex_count {
                 return Err(EdgeListError::Corrupt(format!(
                     "vertex id {id} out of range for {vertex_count} vertices"
                 )));
             }
         }
-        if label as usize >= label_count {
+        if edge.label.index() >= label_count {
             return Err(EdgeListError::Corrupt(format!(
-                "label id {label} out of range for {label_count} labels"
+                "label id {} out of range for {label_count} labels",
+                edge.label.0
             )));
         }
-        edges.push(Edge::new(source, Label(label), target));
+        edges.push(edge);
     }
-    if buf.remaining() > 0 {
-        return Err(EdgeListError::Corrupt(format!(
-            "{} trailing bytes after the last edge",
-            buf.remaining()
-        )));
-    }
+    r.finish()?;
     let mut labels = LabelInterner::new();
     for name in &label_names {
         labels.intern(name);
@@ -313,6 +284,30 @@ pub fn from_binary_edge_list(data: &[u8]) -> Result<LabeledGraph, EdgeListError>
         labels,
         vertex_names,
     ))
+}
+
+/// Reads `count` distinct UTF-8 names (`u32` length + bytes each).
+fn read_names(
+    r: &mut Reader<'_>,
+    count: usize,
+    what: &'static str,
+) -> Result<Vec<String>, EdgeListError> {
+    let count = r.checked_len(count, 4, what)?;
+    let mut names = Vec::with_capacity(count);
+    let mut seen = HashSet::with_capacity(count);
+    for i in 0..count {
+        let len = r.u32()? as usize;
+        let name = std::str::from_utf8(r.take(len)?)
+            .map_err(|_| EdgeListError::Corrupt(format!("{what} {i} is not valid UTF-8")))?
+            .to_owned();
+        if !seen.insert(name.clone()) {
+            return Err(EdgeListError::Corrupt(format!(
+                "{what} {i} duplicates the name {name:?}"
+            )));
+        }
+        names.push(name);
+    }
+    Ok(names)
 }
 
 /// Writes a labeled graph to a binary edge-list file.
@@ -539,13 +534,12 @@ mod tests {
     fn tiny_blob_cannot_declare_billions_of_unnamed_vertices() {
         // A hostile 21-byte header declaring u32::MAX isolated unnamed
         // vertices must be rejected before any O(vertex_count) allocation.
-        use bytes::BufMut;
         let mut buf = Vec::new();
-        buf.put_u32_le(super::BINARY_MAGIC);
-        buf.put_u32_le(u32::MAX); // vertices
-        buf.put_u32_le(0); // labels
-        buf.put_u64_le(0); // edges
-        buf.put_u8(0); // unnamed
+        buf.extend_from_slice(&super::BINARY_MAGIC.to_le_bytes());
+        buf.extend_from_slice(&u32::MAX.to_le_bytes()); // vertices
+        buf.extend_from_slice(&0u32.to_le_bytes()); // labels
+        buf.extend_from_slice(&0u64.to_le_bytes()); // edges
+        buf.push(0); // unnamed
         assert!(matches!(
             from_binary_edge_list(&buf),
             Err(EdgeListError::Corrupt(m)) if m.contains("back them")
@@ -561,15 +555,14 @@ mod tests {
     #[test]
     fn duplicate_names_in_binary_blobs_are_rejected() {
         // Hand-build a blob with two vertices sharing a name.
-        use bytes::BufMut;
         let mut buf = Vec::new();
-        buf.put_u32_le(super::BINARY_MAGIC);
-        buf.put_u32_le(2); // vertices
-        buf.put_u32_le(1); // labels
-        buf.put_u64_le(0); // edges
-        buf.put_u8(1); // named
+        buf.extend_from_slice(&super::BINARY_MAGIC.to_le_bytes());
+        buf.extend_from_slice(&2u32.to_le_bytes()); // vertices
+        buf.extend_from_slice(&1u32.to_le_bytes()); // labels
+        buf.extend_from_slice(&0u64.to_le_bytes()); // edges
+        buf.push(1); // named
         for name in ["x", "dup", "dup"] {
-            buf.put_u32_le(name.len() as u32);
+            buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
             buf.extend_from_slice(name.as_bytes());
         }
         assert!(matches!(

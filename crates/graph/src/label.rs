@@ -50,29 +50,10 @@ impl fmt::Display for Label {
 /// Bidirectional mapping between label names and dense [`Label`] ids.
 ///
 /// The interner is append-only: once a name is interned its id never changes.
-///
-/// Only the name list is serialized; deserialization rebuilds the name → id
-/// map automatically, so a deserialized interner resolves names immediately.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LabelInterner {
     names: Vec<String>,
-    #[serde(skip)]
     by_name: HashMap<String, Label>,
-}
-
-impl Deserialize for LabelInterner {
-    /// Reconstructs the interner and rebuilds the skipped lookup map.
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected a map for LabelInterner"))?;
-        let mut interner = LabelInterner {
-            names: serde::map_field(entries, "names", "LabelInterner")?,
-            by_name: HashMap::new(),
-        };
-        interner.rebuild_lookup();
-        Ok(interner)
-    }
 }
 
 impl LabelInterner {
@@ -126,17 +107,6 @@ impl LabelInterner {
     pub fn iter(&self) -> impl Iterator<Item = Label> + '_ {
         (0..self.names.len()).map(Label::from_index)
     }
-
-    /// Rebuilds the name → id map; used after deserialization, where the map
-    /// is skipped to keep the serialized form minimal.
-    pub fn rebuild_lookup(&mut self) {
-        self.by_name = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), Label::from_index(i)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -170,17 +140,6 @@ mod tests {
         assert_eq!(interner.len(), 4);
         assert_eq!(interner.resolve("l2"), Some(Label(2)));
         assert_eq!(interner.name(Label(3)), Some("l3"));
-    }
-
-    #[test]
-    fn deserialization_rebuilds_resolution_automatically() {
-        let interner = LabelInterner::anonymous(3);
-        let json = serde_json::to_string(&interner).unwrap();
-        let restored: LabelInterner = serde_json::from_str(&json).unwrap();
-        // The lookup map is not serialized, but the custom Deserialize impl
-        // rebuilds it — no rebuild_lookup() call needed.
-        assert_eq!(restored.resolve("l1"), Some(Label(1)));
-        assert_eq!(restored.len(), interner.len());
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   workload generation;
 //! * [`io`] — edge-list persistence: a plain-text format and a hardened
 //!   binary format whose loader validates untrusted blobs;
-//! * [`bounds`] — the shared division-form bound check (`checked_len`)
-//!   every binary decoder sizes untrusted allocations through;
+//! * [`bounds`] — the bounded [`Reader`] every binary decoder reads
+//!   through, and the division-form count check (`checked_len`) it sizes
+//!   untrusted allocations with;
 //! * [`partition`] — vertex partitioning into disjoint shards with cut-edge
 //!   enumeration and subgraph extraction (the substrate of `rlc-shard`);
 //! * [`examples`] — the two illustrative graphs of the paper (Fig. 1 and
@@ -57,7 +58,7 @@ pub mod partition;
 pub mod scc;
 pub mod stats;
 
-pub use bounds::{checked_len, LengthBoundError};
+pub use bounds::{checked_len, LengthBoundError, ReadError, Reader};
 pub use builder::GraphBuilder;
 pub use graph::{Edge, LabeledGraph, VertexId};
 pub use label::{Label, LabelInterner};

@@ -7,12 +7,11 @@
 
 use crate::graph::{LabeledGraph, VertexId};
 use crate::scc::strongly_connected_components;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Summary statistics of an edge-labeled graph (the columns of Table III plus
 /// a few derived quantities used elsewhere in the harness).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Number of vertices.
     pub vertices: usize,
@@ -204,14 +203,5 @@ mod tests {
         assert_eq!(hist.iter().sum::<usize>(), g.edge_count());
         // Zipf exponent 2: the first label dominates.
         assert!(hist[0] > hist[4]);
-    }
-
-    #[test]
-    fn stats_serialize_round_trip() {
-        let g = erdos_renyi(&SyntheticConfig::new(50, 2.0, 4, 1));
-        let stats = GraphStats::compute(&g);
-        let json = serde_json::to_string(&stats).unwrap();
-        let back: GraphStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(stats, back);
     }
 }

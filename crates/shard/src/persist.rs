@@ -22,7 +22,8 @@
 use crate::index::ShardedIndex;
 use rayon::prelude::*;
 use rlc_core::index::RlcIndex;
-use rlc_graph::{Edge, Label, LabeledGraph, Partition};
+use rlc_graph::io::write_edge;
+use rlc_graph::{LabeledGraph, Partition, Reader};
 
 /// Manifest magic, "RSH1": the first four bytes of every manifest, as a
 /// little-endian `u32`. Public so loaders that accept several blob kinds
@@ -79,37 +80,36 @@ impl ShardedIndex {
     /// Returns an error instead of silently truncating when a field exceeds
     /// its on-disk width.
     pub fn try_to_bytes(&self) -> Result<Vec<u8>, String> {
-        use bytes::BufMut;
         let blobs: Vec<Vec<u8>> = self
             .shards
             .iter()
             .map(|s| s.index.try_to_bytes())
             .collect::<Result<_, _>>()?;
+        let k = u32::try_from(self.k).map_err(|_| format!("recursive k {} exceeds u32", self.k))?;
+        let shard_count = u32::try_from(self.shards.len())
+            .map_err(|_| format!("shard count {} exceeds u32", self.shards.len()))?;
         let mut buf = Vec::new();
-        buf.put_u32_le(MANIFEST_MAGIC);
-        buf.put_u32_le(
-            u32::try_from(self.k).map_err(|_| format!("recursive k {} exceeds u32", self.k))?,
-        );
-        buf.put_u32_le(
-            u32::try_from(self.shards.len())
-                .map_err(|_| format!("shard count {} exceeds u32", self.shards.len()))?,
-        );
-        buf.put_u64_le(self.partition.vertex_count() as u64);
-        buf.put_u64_le(self.cut_edges.len() as u64);
-        buf.put_u64_le(self.graph_digest);
-        for &shard in self.partition.assignment() {
-            buf.put_u32_le(shard);
+        for word in [MANIFEST_MAGIC, k, shard_count] {
+            buf.extend_from_slice(&word.to_le_bytes());
         }
-        for edge in &self.cut_edges {
-            buf.put_u32_le(edge.source);
-            buf.put_u16_le(edge.label.0);
-            buf.put_u32_le(edge.target);
+        for word in [
+            self.partition.vertex_count() as u64,
+            self.cut_edges.len() as u64,
+            self.graph_digest,
+        ] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        for &shard in self.partition.assignment() {
+            buf.extend_from_slice(&shard.to_le_bytes());
+        }
+        for &edge in &self.cut_edges {
+            write_edge(&mut buf, edge);
         }
         let mut offset = 0u64;
         for blob in &blobs {
-            buf.put_u64_le(offset);
-            buf.put_u64_le(blob.len() as u64);
-            buf.put_u64_le(fnv1a64(blob));
+            for word in [offset, blob.len() as u64, fnv1a64(blob)] {
+                buf.extend_from_slice(&word.to_le_bytes());
+            }
             offset = offset
                 .checked_add(blob.len() as u64)
                 .ok_or_else(|| "total shard blob size exceeds u64".to_owned())?;
@@ -140,28 +140,16 @@ impl ShardedIndex {
     /// bytes. Corrupt or mismatched input yields a descriptive error,
     /// never a silently wrong index.
     pub fn from_bytes(data: &[u8], graph: &LabeledGraph) -> Result<Self, String> {
-        use bytes::Buf;
-        let mut buf = data;
-        let corrupt = |what: &str| -> String {
-            format!("truncated or corrupt shard manifest while reading {what}")
-        };
-        let check = |ok: bool, what: &str| -> Result<(), String> {
-            if ok {
-                Ok(())
-            } else {
-                Err(corrupt(what))
-            }
-        };
-        check(buf.remaining() >= 36, "header")?;
-        let magic = buf.get_u32_le();
+        let mut r = Reader::new(data);
+        let magic = r.u32()?;
         if magic != MANIFEST_MAGIC {
             return Err(format!("bad magic {magic:#x}, not an RSH1 shard manifest"));
         }
-        let k = buf.get_u32_le() as usize;
+        let k = r.u32()? as usize;
         if k == 0 {
             return Err("corrupt shard manifest: recursive k must be at least 1".to_owned());
         }
-        let shard_count = buf.get_u32_le() as usize;
+        let shard_count = r.u32()? as usize;
         if shard_count == 0 {
             return Err("corrupt shard manifest: shard count must be at least 1".to_owned());
         }
@@ -169,10 +157,8 @@ impl ShardedIndex {
         // lists, the shard table) before the table itself is reached:
         // bound it by the bytes present — every shard owes a 24-byte table
         // row — so a hostile header cannot drive a huge allocation.
-        let shard_count = rlc_graph::checked_len(shard_count, 24, buf.remaining())
-            .map_err(|_| corrupt("shard count"))?;
-        let n = usize::try_from(buf.get_u64_le())
-            .map_err(|_| "corrupt shard manifest: vertex count exceeds usize".to_owned())?;
+        let shard_count = r.checked_len(shard_count, 24, "shard count")?;
+        let n = r.u64_count()?;
         if n != graph.vertex_count() {
             return Err(format!(
                 "shard manifest indexes {n} vertices but the supplied graph has {}; \
@@ -180,35 +166,26 @@ impl ShardedIndex {
                 graph.vertex_count()
             ));
         }
-        let cut_count = usize::try_from(buf.get_u64_le())
-            .map_err(|_| "corrupt shard manifest: cut-edge count exceeds usize".to_owned())?;
+        let cut_count = r.u64_count()?;
         // The whole-graph digest pins the manifest to the exact topology
         // it was built on: intra-shard edges are invisible to the cut-edge
         // comparison below, so without this a graph differing only inside
         // a shard would silently answer for the wrong topology.
-        let stored_digest = buf.get_u64_le();
-        if stored_digest != graph_digest(graph) {
+        if r.u64()? != graph_digest(graph) {
             return Err(
                 "shard manifest graph digest does not match the supplied graph; the manifest \
                  belongs to a different graph"
                     .to_owned(),
             );
         }
-        // Size fields are untrusted: bound them by the bytes present before
-        // any allocation or loop they size.
-        let n = rlc_graph::checked_len(n, 4, buf.remaining())
-            .map_err(|_| corrupt("shard assignment"))?;
-        let assignment: Vec<u32> = (0..n).map(|_| buf.get_u32_le()).collect();
-        let partition = Partition::from_assignment(shard_count, assignment)
+        let n = r.checked_len(n, 4, "shard assignment")?;
+        let partition = Partition::from_assignment(shard_count, r.u32s(n)?)
             .map_err(|e| format!("corrupt shard manifest: {e}"))?;
-        let cut_count = rlc_graph::checked_len(cut_count, 10, buf.remaining())
-            .map_err(|_| corrupt("cut edge table"))?;
+        let cut_count = r.checked_len(cut_count, 10, "cut edge table")?;
         let mut cut_edges = Vec::with_capacity(cut_count);
         for i in 0..cut_count {
-            let source = buf.get_u32_le();
-            let label = Label(buf.get_u16_le());
-            let target = buf.get_u32_le();
-            for id in [source, target] {
+            let edge = r.edge()?;
+            for id in [edge.source, edge.target] {
                 if id as usize >= n {
                     return Err(format!(
                         "corrupt shard manifest: cut edge {i} references vertex {id}, out of \
@@ -216,11 +193,11 @@ impl ShardedIndex {
                     ));
                 }
             }
-            let edge = Edge::new(source, label, target);
             if !partition.is_cut(&edge) {
                 return Err(format!(
-                    "corrupt shard manifest: cut edge {i} ({source} -> {target}) does not \
-                     cross shards under the stored assignment"
+                    "corrupt shard manifest: cut edge {i} ({} -> {}) does not cross shards \
+                     under the stored assignment",
+                    edge.source, edge.target
                 ));
             }
             cut_edges.push(edge);
@@ -235,14 +212,11 @@ impl ShardedIndex {
                     .to_owned(),
             );
         }
-        let shard_count = rlc_graph::checked_len(shard_count, 24, buf.remaining())
-            .map_err(|_| corrupt("shard table"))?;
+        let shard_count = r.checked_len(shard_count, 24, "shard table")?;
         let mut expected_offset = 0u64;
-        let mut spans: Vec<(usize, u64)> = Vec::with_capacity(shard_count);
+        let mut spans: Vec<(u64, u64)> = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
-            let offset = buf.get_u64_le();
-            let len = buf.get_u64_le();
-            let digest = buf.get_u64_le();
+            let (offset, len, digest) = (r.u64()?, r.u64()?, r.u64()?);
             if offset != expected_offset {
                 return Err(format!(
                     "corrupt shard manifest: shard {i} blob offset {offset} is not contiguous \
@@ -252,25 +226,14 @@ impl ShardedIndex {
             expected_offset = expected_offset.checked_add(len).ok_or_else(|| {
                 "corrupt shard manifest: shard blob offsets overflow u64".to_owned()
             })?;
-            let len = usize::try_from(len).map_err(|_| {
-                "corrupt shard manifest: shard blob length exceeds usize".to_owned()
-            })?;
             spans.push((len, digest));
-        }
-        let total: usize = spans.iter().map(|&(len, _)| len).sum();
-        if buf.remaining() != total {
-            return Err(format!(
-                "corrupt shard manifest: blob section holds {} bytes but the shard table \
-                 declares {total}",
-                buf.remaining()
-            ));
         }
         let mut blobs: Vec<(usize, &[u8], u64)> = Vec::with_capacity(shard_count);
         for (i, (len, digest)) in spans.into_iter().enumerate() {
-            let blob = &buf[..len];
-            buf = &buf[len..];
-            blobs.push((i, blob, digest));
+            let len = usize::try_from(len).unwrap_or(usize::MAX);
+            blobs.push((i, r.take(len)?, digest));
         }
+        r.finish()?;
         // Per-shard digesting and RLC3 validation are independent: fan them
         // out like the build path fans out the per-shard index builds.
         let loaded: Vec<Result<RlcIndex, String>> = blobs
@@ -316,7 +279,7 @@ mod tests {
     use rlc_core::engine::ReachabilityEngine;
     use rlc_core::Query;
     use rlc_graph::generate::{erdos_renyi, SyntheticConfig};
-    use rlc_graph::PartitionStrategy;
+    use rlc_graph::{Label, PartitionStrategy};
 
     fn sample() -> LabeledGraph {
         erdos_renyi(&SyntheticConfig::new(50, 3.0, 3, 11))

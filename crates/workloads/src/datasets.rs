@@ -16,10 +16,9 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use rlc_graph::generate::{barabasi_albert, erdos_renyi, zipfian_labels, SyntheticConfig};
 use rlc_graph::{GraphBuilder, LabeledGraph, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Which synthetic generator approximates the original graph's topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GeneratorKind {
     /// Barabási–Albert: skewed degree distribution (social networks, web
     /// graphs, hyperlink graphs).

@@ -19,11 +19,10 @@ use rlc_core::engine::{Prepared, ReachabilityEngine};
 use rlc_core::repeats::enumerate_minimum_repeats;
 use rlc_core::{Constraint, RlcQuery};
 use rlc_graph::{Label, LabeledGraph, VertexId};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 
 /// Configuration of query-set generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryGenConfig {
     /// Number of true queries to generate.
     pub true_queries: usize,
@@ -69,7 +68,7 @@ impl QueryGenConfig {
 }
 
 /// A generated workload: the true-query set and the false-query set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuerySet {
     /// Queries whose answer is `true`.
     pub true_queries: Vec<RlcQuery>,
@@ -294,14 +293,5 @@ mod tests {
         assert_eq!(a.false_queries, b.false_queries);
         let c = generate_query_set(&g, &QueryGenConfig::small(20, 20, 2, 10));
         assert_ne!(a.true_queries, c.true_queries);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let g = fig1_graph();
-        let set = generate_query_set(&g, &QueryGenConfig::small(5, 5, 1, 1));
-        let json = serde_json::to_string(&set).unwrap();
-        let back: QuerySet = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.true_queries, set.true_queries);
     }
 }
