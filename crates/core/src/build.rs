@@ -63,6 +63,7 @@
 
 use crate::catalog::{MrCatalog, MrId};
 use crate::index::{key_mr, key_rank, pack_key, RlcIndex};
+use crate::kernel::Direction;
 use crate::order::{compute_order, OrderingStrategy, VertexOrder};
 use rlc_graph::{Label, LabeledGraph, VertexId};
 use std::collections::hash_map::RandomState;
@@ -484,18 +485,10 @@ impl BuildHasher for KeyHash {
     }
 }
 
-/// Direction of a kernel-based search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    /// Traverses in-edges from the root; discovered facts are `u ⇝ root` and
-    /// land in `Lout(u)`.
-    Backward,
-    /// Traverses out-edges from the root; discovered facts are `root ⇝ u` and
-    /// land in `Lin(u)`.
-    Forward,
-}
-
 /// One kernel-based search: its root, the root's access id, its direction.
+/// A backward search walks in-edges from the root, and the facts it
+/// discovers are `u ⇝ root`, landing in `Lout(u)`; a forward search walks
+/// out-edges, and its facts `root ⇝ u` land in `Lin(u)`.
 #[derive(Debug, Clone, Copy)]
 struct Search {
     root: VertexId,
@@ -635,13 +628,6 @@ impl<'g> Builder<'g> {
             .is_some_and(|deadline| Instant::now() >= deadline)
     }
 
-    fn neighbors(&self, v: VertexId, dir: Direction) -> rlc_graph::graph::OutEdges<'g> {
-        match dir {
-            Direction::Backward => self.graph.in_edges(v),
-            Direction::Forward => self.graph.out_edges(v),
-        }
-    }
-
     /// One kernel-based search.
     fn kernel_based_search(&mut self, search: Search) {
         self.stats.kernel_searches += 1;
@@ -673,7 +659,7 @@ impl<'g> Builder<'g> {
             .push_back((search.root, Seq::default()));
 
         while let Some((x, seq)) = self.scratch.search_queue.pop_front() {
-            for (y, label) in self.neighbors(x, search.dir) {
+            for (y, label) in search.dir.edges(self.graph, x) {
                 let extended = match search.dir {
                     // Backward traversal prepends: the sequence is always the
                     // forward label sequence from the visited vertex to root.
@@ -739,11 +725,8 @@ impl<'g> Builder<'g> {
             // The label expected on the next traversed edge: forward searches
             // consume the kernel left to right, backward searches right to
             // left (the sequence read along the path stays `kernel^m`).
-            let expected = match search.dir {
-                Direction::Forward => packing.label(kernel, state),
-                Direction::Backward => packing.label(kernel, klen - 1 - state),
-            };
-            for (y, label) in self.neighbors(x, search.dir) {
+            let expected = packing.label(kernel, search.dir.block_offset(state, klen));
+            for (y, label) in search.dir.edges(self.graph, x) {
                 if label != expected {
                     continue;
                 }

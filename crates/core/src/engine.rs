@@ -32,11 +32,15 @@
 //! * the three simulated mainstream engines in `rlc-engine-sim`.
 
 use crate::catalog::MrId;
-use crate::hybrid::{evaluate_blocks_grouped_with, evaluate_hybrid_prepared};
+use crate::hybrid::{
+    closure_direction, evaluate_blocks_grouped_with, evaluate_concat_grouped,
+    evaluate_hybrid_prepared,
+};
 use crate::index::RlcIndex;
+use crate::kernel::Direction;
 use crate::query::{Constraint, Query, QueryError};
 use rayon::prelude::*;
-use rlc_graph::{LabeledGraph, VertexId};
+use rlc_graph::{Label, LabeledGraph, VertexId};
 use rlc_obs::TraceNode;
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -473,27 +477,64 @@ impl ArtifactTag {
 }
 
 /// Prepared artifact of the index-backed engines: the blocks validated
-/// against the recursive `k`, with the final block's minimum repeat resolved
-/// against the index catalog (`None` when absent — the constraint is then
-/// unsatisfiable and evaluation is `false` without touching the graph).
+/// against the recursive `k`, the end the online closure starts from, and
+/// the minimum repeat of the end block the index answers — the last block
+/// when closing forward, the first when closing backward — resolved against
+/// the index catalog.
 struct PreparedHybrid {
-    last_mr: Option<MrId>,
+    plan: HybridPlan,
     index: ArtifactTag,
+}
+
+/// How the index-backed engines answer one constraint
+/// ([`crate::hybrid`]): which way the online closure runs, and the resolved
+/// MR of the end block the index answers. `end_mr` is `None` when the
+/// constraint is unsatisfiable — an end block absent from the catalog has
+/// no index entry, so no pair is connected under it — and evaluation is
+/// then `false` without touching the graph.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct HybridPlan {
+    end_mr: Option<MrId>,
+    closure: Direction,
+}
+
+/// Plans a concatenation of two or more blocks: resolves both end blocks
+/// and picks the closure direction ([`crate::hybrid`]'s cost comparison).
+/// Single blocks never come here: they resolve their one block and close
+/// nothing.
+fn plan_concat(graph: &LabeledGraph, index: &RlcIndex, blocks: &[Vec<Label>]) -> HybridPlan {
+    let catalog = index.catalog();
+    let (first, last) = (blocks.first(), blocks.last());
+    let first_mr = first.and_then(|block| catalog.resolve(block));
+    let last_mr = last.and_then(|block| catalog.resolve(block));
+    let closure = closure_direction(graph, blocks);
+    let end_mr = match (first_mr, last_mr, closure) {
+        (Some(_), Some(last), Direction::Forward) => Some(last),
+        (Some(first), Some(_), Direction::Backward) => Some(first),
+        _ => None,
+    };
+    HybridPlan { end_mr, closure }
 }
 
 /// Shared prepare implementation of [`IndexEngine`] and [`HybridEngine`].
 fn prepare_hybrid(
+    graph: &LabeledGraph,
     index: &RlcIndex,
     engine_name: &str,
     constraint: &Constraint,
 ) -> Result<Prepared, QueryError> {
     constraint.check_block_len(index.k())?;
-    let last_mr = index.catalog().resolve(constraint.last_block());
     Ok(Prepared::new(
         constraint.clone(),
         engine_name,
         PreparedHybrid {
-            last_mr,
+            plan: match constraint.blocks() {
+                [block] => HybridPlan {
+                    end_mr: index.catalog().resolve(block),
+                    closure: Direction::Forward,
+                },
+                blocks => plan_concat(graph, index, blocks),
+            },
             index: ArtifactTag::of(index),
         },
     ))
@@ -502,7 +543,8 @@ fn prepare_hybrid(
 /// Shared one-shot implementation of [`IndexEngine`] and [`HybridEngine`]:
 /// the same validation order as prepare-then-execute (`k` check, then vertex
 /// range), but without constructing a [`Prepared`] — one-shot and naive
-/// batch evaluation stay free of per-query boxing and cloning.
+/// batch evaluation stay free of per-query boxing and cloning. A single
+/// block is one catalog resolve and one probe, with no plan.
 fn evaluate_hybrid_one_shot(
     graph: &LabeledGraph,
     index: &RlcIndex,
@@ -511,37 +553,47 @@ fn evaluate_hybrid_one_shot(
     let constraint = query.constraint();
     constraint.check_block_len(index.k())?;
     check_vertex_range(query.source, query.target, graph.vertex_count())?;
-    let last_mr = index.catalog().resolve(constraint.last_block());
+    let blocks = constraint.blocks();
+    if let [block] = blocks {
+        return Ok(index.catalog().resolve(block).is_some_and(|mr| {
+            index
+                .target_probe(query.target, mr)
+                .reached_from(query.source)
+        }));
+    }
+    let plan = plan_concat(graph, index, blocks);
     Ok(evaluate_hybrid_prepared(
         graph,
         index,
         query.source,
         query.target,
-        constraint.blocks(),
-        last_mr,
+        blocks,
+        plan.end_mr,
+        plan.closure,
     ))
 }
 
 /// Resolves a preparation against this engine's index: the artifact's own
-/// [`MrId`] when the tag matches, otherwise a fresh re-prepare. Re-preparing
+/// plan when the tag matches, otherwise a fresh re-prepare. Re-preparing
 /// covers a wrong artifact type as well as a same-kind engine over a
 /// different index — or a different *generation* of an index at the same
 /// address — and re-runs the `k` validation, so a constraint invalid here
-/// still errors instead of silently evaluating.
-fn hybrid_last_mr(
+/// still errors instead of silently evaluating, and re-plans the closure
+/// direction against this engine's graph.
+fn hybrid_plan(
     engine: &dyn ReachabilityEngine,
     index: &RlcIndex,
     prepared: &Prepared,
-) -> Result<Option<MrId>, QueryError> {
+) -> Result<HybridPlan, QueryError> {
     match prepared.artifact::<PreparedHybrid>() {
-        Some(artifact) if artifact.index == ArtifactTag::of(index) => Ok(artifact.last_mr),
+        Some(artifact) if artifact.index == ArtifactTag::of(index) => Ok(artifact.plan),
         _ => {
             let own = engine.prepare(prepared.constraint())?;
             Ok(own
                 .artifact::<PreparedHybrid>()
                 // rlc-analyze: allow(panic-free-library) — prepare() of this engine always attaches a PreparedHybrid artifact; a None here is a broken engine contract, not an input error
                 .expect("prepare_hybrid produces a PreparedHybrid artifact")
-                .last_mr)
+                .plan)
         }
     }
 }
@@ -556,22 +608,23 @@ fn evaluate_hybrid_engine(
     prepared: &Prepared,
 ) -> Result<bool, QueryError> {
     check_vertex_range(source, target, graph.vertex_count())?;
-    let last_mr = hybrid_last_mr(engine, index, prepared)?;
+    let plan = hybrid_plan(engine, index, prepared)?;
     Ok(evaluate_hybrid_prepared(
         graph,
         index,
         source,
         target,
         prepared.constraint().blocks(),
-        last_mr,
+        plan.end_mr,
+        plan.closure,
     ))
 }
 
 /// Grouped execute implementation of [`IndexEngine`] and [`HybridEngine`]:
-/// the shared grouped skeleton ([`evaluate_blocks_grouped_with`]) with the
-/// final block answered by the index's merge-join lookup — the prefix-block
-/// repetition closure is computed once per distinct source, single-block
-/// constraints stay per-pair lookups.
+/// the shared grouped skeleton with the end block answered by the index's
+/// merge-join lookup — the online closure is computed once per distinct
+/// source when closing forward and once per distinct target when closing
+/// backward; single-block constraints stay per-pair lookups.
 fn evaluate_hybrid_engine_group(
     engine: &dyn ReachabilityEngine,
     graph: &LabeledGraph,
@@ -579,15 +632,28 @@ fn evaluate_hybrid_engine_group(
     pairs: &[(VertexId, VertexId)],
     prepared: &Prepared,
 ) -> Vec<Result<bool, QueryError>> {
-    let resolved = hybrid_last_mr(engine, index, prepared).map(|last_mr| {
-        last_mr.map(|mr| {
-            move |t| {
-                let probe = index.target_probe(t, mr);
-                move |v| probe.reached_from(v)
-            }
-        })
-    });
-    evaluate_blocks_grouped_with(graph, pairs, prepared.constraint().blocks(), resolved)
+    let blocks = prepared.constraint().blocks();
+    match hybrid_plan(engine, index, prepared) {
+        Ok(HybridPlan {
+            end_mr: Some(mr),
+            closure: Direction::Backward,
+        }) => evaluate_concat_grouped(graph, pairs, blocks, Direction::Backward, |s| {
+            move |w| index.query_mr(s, w, mr)
+        }),
+        plan => evaluate_blocks_grouped_with(
+            graph,
+            pairs,
+            blocks,
+            plan.map(|plan| {
+                plan.end_mr.map(|mr| {
+                    move |t| {
+                        let probe = index.target_probe(t, mr);
+                        move |v| probe.reached_from(v)
+                    }
+                })
+            }),
+        ),
+    }
 }
 
 /// The RLC index as a [`ReachabilityEngine`]: single-block constraints are
@@ -621,7 +687,7 @@ impl ReachabilityEngine for IndexEngine<'_> {
     }
 
     fn prepare(&self, constraint: &Constraint) -> Result<Prepared, QueryError> {
-        prepare_hybrid(self.index, self.name(), constraint)
+        prepare_hybrid(self.graph, self.index, self.name(), constraint)
     }
 
     fn evaluate_prepared(
@@ -672,7 +738,7 @@ impl ReachabilityEngine for HybridEngine<'_> {
     }
 
     fn prepare(&self, constraint: &Constraint) -> Result<Prepared, QueryError> {
-        prepare_hybrid(self.index, self.name(), constraint)
+        prepare_hybrid(self.graph, self.index, self.name(), constraint)
     }
 
     fn evaluate_prepared(
@@ -707,7 +773,6 @@ mod tests {
     use crate::build::{build_index, BuildConfig};
     use crate::query::RlcQuery;
     use rlc_graph::examples::fig2_graph;
-    use rlc_graph::Label;
 
     #[test]
     fn index_engine_answers_like_the_index() {
@@ -978,7 +1043,8 @@ mod tests {
             prepared_a
                 .artifact::<PreparedHybrid>()
                 .expect("index engines produce PreparedHybrid artifacts")
-                .last_mr
+                .plan
+                .end_mr
         };
         assert_eq!(stale_mr, Some(mr_a));
         drop(index_a);
@@ -995,7 +1061,10 @@ mod tests {
             constraint.clone(),
             "RLC",
             PreparedHybrid {
-                last_mr: stale_mr,
+                plan: HybridPlan {
+                    end_mr: stale_mr,
+                    closure: Direction::Forward,
+                },
                 index: ArtifactTag::from_raw(
                     &index_b as *const RlcIndex as usize,
                     index_b.k(),
@@ -1014,7 +1083,8 @@ mod tests {
             a,
             b,
             constraint.blocks(),
-            stale_mr
+            stale_mr,
+            Direction::Forward
         ));
         assert_eq!(
             engine_b.evaluate(&Query::new(a, b, constraint.clone())),
@@ -1105,6 +1175,128 @@ mod tests {
                     engine_k2.evaluate(&Query::new(source, target, shared.clone()))
                 );
             }
+        }
+    }
+
+    /// The plan of a preparation as an engine resolves it.
+    fn plan_of(engine: &IndexEngine<'_>, prepared: &Prepared) -> HybridPlan {
+        hybrid_plan(engine, engine.index(), prepared).unwrap()
+    }
+
+    #[test]
+    fn concatenations_close_from_the_end_that_grows_slower() {
+        // Four x edges and one y edge: x+ grows faster, so x+ ∘ y+ closes
+        // y+ backward from the target and the index answers x+ — and
+        // y+ ∘ x+ closes y+ forward, as the paper does. A single block
+        // closes nothing.
+        let mut builder = rlc_graph::GraphBuilder::new();
+        for (from, to) in [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")] {
+            builder.add_edge_named(from, "x", to);
+        }
+        builder.add_edge_named("d", "y", "e");
+        let graph = builder.build();
+        let (x, y) = (
+            graph.labels().resolve("x").unwrap(),
+            graph.labels().resolve("y").unwrap(),
+        );
+        let (index, _) = build_index(&graph, &BuildConfig::new(2));
+        let engine = IndexEngine::new(&graph, &index);
+        let plan = |blocks: Vec<Vec<Label>>| {
+            plan_of(
+                &engine,
+                &engine.prepare(&Constraint::new(blocks).unwrap()).unwrap(),
+            )
+        };
+        let mr = |block: &[Label]| index.catalog().resolve(block);
+        assert_eq!(
+            plan(vec![vec![x], vec![y]]),
+            HybridPlan {
+                end_mr: mr(&[x]),
+                closure: Direction::Backward
+            }
+        );
+        assert_eq!(
+            plan(vec![vec![y], vec![x]]),
+            HybridPlan {
+                end_mr: mr(&[x]),
+                closure: Direction::Forward
+            }
+        );
+        assert_eq!(
+            plan(vec![vec![x]]),
+            HybridPlan {
+                end_mr: mr(&[x]),
+                closure: Direction::Forward
+            }
+        );
+        // An end block absent from the catalog makes the plan
+        // unsatisfiable, whichever end the index would answer.
+        let z = Label(9);
+        assert_eq!(plan(vec![vec![z], vec![y]]).end_mr, None);
+        assert_eq!(plan(vec![vec![x], vec![z]]).end_mr, None);
+        for s in graph.vertices() {
+            for t in graph.vertices() {
+                let q = Query::concat(s, t, vec![vec![x], vec![y]]).unwrap();
+                // Some x+ path ends at d, the y edge's source.
+                let expected = s <= 2 && graph.vertex_name(t) == Some("e");
+                assert_eq!(engine.evaluate(&q), Ok(expected), "({s}, {t})");
+            }
+        }
+    }
+
+    #[test]
+    fn preparations_from_another_index_replan_the_closure_direction() {
+        // The same constraint x+ ∘ y+ over two graphs with opposite label
+        // skews: over `x_heavy` it closes backward, over `y_heavy` forward.
+        // A preparation handed across must take the receiving engine's
+        // direction and MRs, not the artifact's.
+        let skewed = |heavy: &str, light: &str| {
+            let mut builder = rlc_graph::GraphBuilder::new();
+            builder.add_edge_named("a", "x", "b");
+            builder.add_edge_named("b", "y", "c");
+            for (from, to) in [("c", "a"), ("a", "c"), ("b", "a")] {
+                builder.add_edge_named(from, heavy, to);
+            }
+            builder.add_edge_named("c", light, "c");
+            builder.build()
+        };
+        let x_heavy = skewed("x", "y");
+        let y_heavy = skewed("y", "x");
+        let (index_x, _) = build_index(&x_heavy, &BuildConfig::new(2));
+        let (index_y, _) = build_index(&y_heavy, &BuildConfig::new(2));
+        let engine_x = IndexEngine::new(&x_heavy, &index_x);
+        let engine_y = IndexEngine::new(&y_heavy, &index_y);
+        // Both graphs intern x before y, so one constraint names both.
+        let x = x_heavy.labels().resolve("x").unwrap();
+        let y = x_heavy.labels().resolve("y").unwrap();
+        assert_eq!(y_heavy.labels().resolve("x"), Some(x));
+        let constraint = Constraint::new(vec![vec![x], vec![y]]).unwrap();
+        let prepared_x = engine_x.prepare(&constraint).unwrap();
+        let prepared_y = engine_y.prepare(&constraint).unwrap();
+        assert_eq!(plan_of(&engine_x, &prepared_x).closure, Direction::Backward);
+        assert_eq!(plan_of(&engine_y, &prepared_y).closure, Direction::Forward);
+        // Handed across, each preparation is re-planned by the receiver.
+        assert_eq!(
+            plan_of(&engine_y, &prepared_x),
+            plan_of(&engine_y, &prepared_y)
+        );
+        assert_eq!(
+            plan_of(&engine_x, &prepared_y),
+            plan_of(&engine_x, &prepared_x)
+        );
+        let pairs: Vec<(VertexId, VertexId)> = y_heavy
+            .vertices()
+            .flat_map(|s| y_heavy.vertices().map(move |t| (s, t)))
+            .collect();
+        assert_eq!(
+            engine_y.evaluate_prepared_group(&pairs, &prepared_x),
+            engine_y.evaluate_prepared_group(&pairs, &prepared_y)
+        );
+        for &(s, t) in &pairs {
+            assert_eq!(
+                engine_y.evaluate_prepared(s, t, &prepared_x),
+                engine_y.evaluate(&Query::new(s, t, constraint.clone()))
+            );
         }
     }
 

@@ -3,65 +3,137 @@
 //! The paper demonstrates the generality of the RLC index by also answering
 //! reachability queries whose constraint is a *concatenation of Kleene-plus
 //! blocks*, e.g. `a+ ∘ b+`: the index alone cannot answer these, but an
-//! online traversal over all blocks except the last, combined with an index
-//! lookup for the last block, can. This module implements that strategy for
-//! an arbitrary number of blocks; the entry points are the engine layer's
-//! [`crate::engine::IndexEngine`] / [`crate::engine::HybridEngine`] over the
-//! unified [`crate::query::Query`] model (the legacy `ConcatQuery` type and
-//! its `evaluate_hybrid` entry point are gone — `Query::concat` constructs
-//! the same queries with validation at construction).
+//! online repetition closure over every block except one *end* block,
+//! combined with an index lookup for that end block, can. The paper closes
+//! from the source and looks the last block up; Definition 4 is symmetric,
+//! so the index answers the first block just as well while the closure
+//! walks in-edges backward from the target. Which end is closed online only
+//! changes the cost, never the answer (the index is complete for every
+//! block of length ≤ k), so the index-backed engines pick the end whose
+//! block grows more slowly (`closure_direction`): a block whose labels
+//! are common can cover most of the graph when closed online, and one
+//! index lookup per frontier vertex is all it costs when the index answers
+//! it instead.
+//!
+//! The entry points are the engine layer's [`crate::engine::IndexEngine`] /
+//! [`crate::engine::HybridEngine`] over the unified
+//! [`crate::query::Query`] model. The public forward skeletons
+//! ([`evaluate_blocks_with`], [`evaluate_blocks_grouped_with`],
+//! [`prefix_frontier`], [`repetition_closure`]) keep the paper's
+//! source-side strategy for the ETC adapter in `rlc-baselines` and the
+//! sharded stitcher in `rlc-shard`.
 
 use crate::catalog::MrId;
 use crate::index::RlcIndex;
-use crate::kernel::with_kernel_scratch;
+use crate::kernel::{with_kernel_scratch, Direction};
 use rlc_graph::{Label, LabeledGraph, VertexId};
 
-/// The shared skeleton of hybrid evaluation over pre-validated blocks: runs
-/// the online repetition closure for every block except the last
-/// ([`prefix_frontier`]), then reports whether `last_block_reaches` holds
-/// for any frontier vertex.
+/// The shared skeleton of forward hybrid evaluation over pre-validated
+/// blocks: runs the online repetition closure from `source` over every
+/// block except the last ([`prefix_frontier`]), then reports whether
+/// `last_block_reaches` holds for any frontier vertex.
 ///
-/// This is the one frontier loop behind both the RLC-index engines (last
-/// block answered by [`RlcIndex`] lookup) and the ETC engine in
-/// `rlc-baselines` (last block answered by a closure lookup) — the lookup
-/// is the only difference, so it is the parameter.
+/// This is the frontier loop behind the ETC engine in `rlc-baselines` (last
+/// block answered by a closure lookup), the sharded stitcher's local fast
+/// path, and the RLC-index engines when they close forward (last block
+/// answered by [`RlcIndex`] lookup; closing backward, they run the same
+/// skeleton from the target) — the lookup is the only difference, so it is
+/// the parameter.
 pub fn evaluate_blocks_with(
     graph: &LabeledGraph,
     source: VertexId,
     blocks: &[Vec<Label>],
     last_block_reaches: impl Fn(VertexId) -> bool,
 ) -> bool {
-    if blocks.len() == 1 {
-        // No prefix to close over: the frontier is the source itself.
-        return last_block_reaches(source);
-    }
-    prefix_frontier(graph, source, blocks)
-        .iter()
-        .any(|&v| last_block_reaches(v))
+    evaluate_blocks_toward(
+        graph,
+        source,
+        blocks,
+        Direction::Forward,
+        last_block_reaches,
+    )
 }
 
-/// Hybrid evaluation over a pre-validated block structure with the final
+/// [`evaluate_blocks_with`] in either direction: `anchor` is the source
+/// when closing forward and the target when closing backward, and
+/// `end_block_reaches` answers the block left open (the last forward, the
+/// first backward) between a frontier vertex and the other end of the
+/// query.
+fn evaluate_blocks_toward(
+    graph: &LabeledGraph,
+    anchor: VertexId,
+    blocks: &[Vec<Label>],
+    closure: Direction,
+    end_block_reaches: impl Fn(VertexId) -> bool,
+) -> bool {
+    if blocks.len() == 1 {
+        // Nothing to close over: the frontier is the anchor itself.
+        return end_block_reaches(anchor);
+    }
+    frontier_toward(graph, anchor, blocks, closure)
+        .iter()
+        .any(|&v| end_block_reaches(v))
+}
+
+/// The end of a concatenation the index-backed engines close online:
+/// [`Direction::Backward`] (from the target, leaving the first block to the
+/// index) when the first block grows faster than the last, and
+/// [`Direction::Forward`] (the paper's strategy) otherwise — always for a
+/// single block, and on a tie.
+///
+/// A block's growth is `∏_{l ∈ B} |E_l| / |V|`, the expected number of
+/// vertices one repetition of `B` leads to from a vertex, where `|E_l|` is
+/// [`LabeledGraph::label_edge_count`]. It is a comparison, not a threshold:
+/// both directions answer the same, so no setting can make it wrong.
+pub(crate) fn closure_direction(graph: &LabeledGraph, blocks: &[Vec<Label>]) -> Direction {
+    let vertices = graph.vertex_count().max(1) as f64;
+    let growth = |block: &[Label]| -> f64 {
+        block
+            .iter()
+            .map(|&l| graph.label_edge_count(l) as f64 / vertices)
+            .product()
+    };
+    match (blocks.first(), blocks.last()) {
+        (Some(first), Some(last)) if growth(first) > growth(last) => Direction::Backward,
+        _ => Direction::Forward,
+    }
+}
+
+/// Hybrid evaluation over a pre-validated block structure with one end
 /// block's minimum repeat already resolved against the index catalog — the
 /// execute half of the prepare/execute split
 /// ([`crate::engine::ReachabilityEngine::evaluate_prepared`]).
 ///
-/// `last_mr` is `None` when the final block's MR does not occur in the
-/// catalog, in which case no path can satisfy the constraint and the answer
-/// is `false` without touching the graph.
+/// `closure` says which end the online closure starts from: forward, the
+/// index answers the last block (`end_mr` is its MR) between each frontier
+/// vertex and `target`; backward, it answers the first block between
+/// `source` and each frontier vertex of the target. `end_mr` is `None` when
+/// the constraint is known unsatisfiable (an end block's MR does not occur
+/// in the catalog), and the answer is then `false` without touching the
+/// graph.
 pub(crate) fn evaluate_hybrid_prepared(
     graph: &LabeledGraph,
     index: &RlcIndex,
     source: VertexId,
     target: VertexId,
     blocks: &[Vec<Label>],
-    last_mr: Option<MrId>,
+    end_mr: Option<MrId>,
+    closure: Direction,
 ) -> bool {
-    let Some(mr_id) = last_mr else {
+    let Some(mr_id) = end_mr else {
         return false;
     };
-    // Lin(target)'s run is resolved once, not once per frontier vertex.
-    let probe = index.target_probe(target, mr_id);
-    evaluate_blocks_with(graph, source, blocks, |v| probe.reached_from(v))
+    match closure {
+        Direction::Forward => {
+            // Lin(target)'s run is resolved once, not once per frontier
+            // vertex.
+            let probe = index.target_probe(target, mr_id);
+            evaluate_blocks_with(graph, source, blocks, |v| probe.reached_from(v))
+        }
+        Direction::Backward => evaluate_blocks_toward(graph, target, blocks, closure, |w| {
+            index.query_mr(source, w, mr_id)
+        }),
+    }
 }
 
 /// Grouped evaluation over pre-validated blocks, shared by every engine
@@ -93,61 +165,116 @@ where
     F: Fn(VertexId) -> P,
     P: Fn(VertexId) -> bool,
 {
-    let in_range = |&(s, t): &(VertexId, VertexId)| {
-        crate::engine::check_vertex_range(s, t, graph.vertex_count())
-    };
     let probe_for = match resolved {
         Ok(Some(probe_for)) => probe_for,
-        Ok(None) => return pairs.iter().map(|p| in_range(p).map(|()| false)).collect(),
+        Ok(None) => {
+            return pairs
+                .iter()
+                .map(|p| in_range(graph, p).map(|()| false))
+                .collect()
+        }
         Err(error) => {
             return pairs
                 .iter()
-                .map(|p| in_range(p).and(Err(error.clone())))
+                .map(|p| in_range(graph, p).and(Err(error.clone())))
                 .collect()
         }
     };
     if blocks.len() == 1 {
         return pairs
             .iter()
-            .map(|p| in_range(p).map(|()| probe_for(p.1)(p.0)))
+            .map(|p| in_range(graph, p).map(|()| probe_for(p.1)(p.0)))
             .collect();
     }
+    evaluate_concat_grouped(graph, pairs, blocks, Direction::Forward, probe_for)
+}
+
+/// The grouped path of a concatenation (two or more blocks) in either
+/// direction. Closing forward, pairs are grouped by source — one prefix
+/// closure per distinct source — and `probe_for` takes the target; closing
+/// backward, pairs are grouped by target — one suffix closure per distinct
+/// target — and `probe_for` takes the source, its predicate answering the
+/// first block between that source and one frontier vertex. Out-of-range
+/// pairs report `VertexOutOfRange`.
+pub(crate) fn evaluate_concat_grouped<F, P>(
+    graph: &LabeledGraph,
+    pairs: &[(VertexId, VertexId)],
+    blocks: &[Vec<Label>],
+    closure: Direction,
+    probe_for: F,
+) -> Vec<Result<bool, crate::query::QueryError>>
+where
+    F: Fn(VertexId) -> P,
+    P: Fn(VertexId) -> bool,
+{
+    // The end the closure starts from, and the end the probe is built for.
+    let ends = |&(s, t): &(VertexId, VertexId)| match closure {
+        Direction::Forward => (s, t),
+        Direction::Backward => (t, s),
+    };
     let mut answers: Vec<Result<bool, crate::query::QueryError>> = Vec::with_capacity(pairs.len());
-    let mut by_source: std::collections::HashMap<VertexId, Vec<usize>> =
+    let mut by_anchor: std::collections::HashMap<VertexId, Vec<usize>> =
         std::collections::HashMap::new();
     for (i, pair) in pairs.iter().enumerate() {
-        answers.push(in_range(pair).map(|()| false));
+        answers.push(in_range(graph, pair).map(|()| false));
         if answers[i].is_ok() {
-            by_source.entry(pair.0).or_default().push(i);
+            by_anchor.entry(ends(pair).0).or_default().push(i);
         }
     }
-    for (source, indices) in by_source {
-        // One repetition-closure pass over the prefix blocks serves every
-        // target sharing this source.
-        let frontier = prefix_frontier(graph, source, blocks);
+    for (anchor, indices) in by_anchor {
+        // One repetition-closure pass over the closed blocks serves every
+        // pair sharing this anchor.
+        let frontier = frontier_toward(graph, anchor, blocks, closure);
         for i in indices {
-            let reaches = probe_for(pairs[i].1);
+            let reaches = probe_for(ends(&pairs[i]).1);
             answers[i] = Ok(frontier.iter().any(|&v| reaches(v)));
         }
     }
     answers
 }
 
-/// The frontier after running the online repetition closure over every
-/// block except the last: all vertices from which the final block's index
-/// (or closure) lookup has to be answered. Computed **once per source** by
-/// the grouped hybrid path, so same-source pairs of a constraint group share
-/// the online traversal instead of re-running it per pair. Public because
-/// the ETC engine's grouped path (`rlc-baselines`) and the sharded stitcher
-/// (`rlc-shard`) share the same once-per-source structure.
+/// Range-checks one pair against the graph, as the per-pair paths do.
+fn in_range(
+    graph: &LabeledGraph,
+    &(s, t): &(VertexId, VertexId),
+) -> Result<(), crate::query::QueryError> {
+    crate::engine::check_vertex_range(s, t, graph.vertex_count())
+}
+
+/// The frontier after running the online repetition closure from `source`
+/// over every block except the last: all vertices from which the final
+/// block's index (or closure) lookup has to be answered. Computed **once
+/// per source** by the grouped hybrid path, so same-source pairs of a
+/// constraint group share the online traversal instead of re-running it per
+/// pair. Public because the ETC engine's grouped path (`rlc-baselines`) and
+/// the sharded stitcher (`rlc-shard`) share the same once-per-source
+/// structure.
 pub fn prefix_frontier(
     graph: &LabeledGraph,
     source: VertexId,
     blocks: &[Vec<Label>],
 ) -> Vec<VertexId> {
-    let mut frontier: Vec<VertexId> = vec![source];
-    for block in &blocks[..blocks.len() - 1] {
-        frontier = repetition_closure(graph, &frontier, block);
+    frontier_toward(graph, source, blocks, Direction::Forward)
+}
+
+/// [`prefix_frontier`] in either direction. Backward, `anchor` is the
+/// target and the closure runs over every block except the first, last
+/// block first: the result is every `w` with a path `w ⇝ anchor` spelling
+/// `B2+ ∘ … ∘ Bn+`, from which the first block's lookup has to be answered.
+pub(crate) fn frontier_toward(
+    graph: &LabeledGraph,
+    anchor: VertexId,
+    blocks: &[Vec<Label>],
+    closure: Direction,
+) -> Vec<VertexId> {
+    let closed = blocks.len() - 1;
+    let mut frontier: Vec<VertexId> = vec![anchor];
+    for step in 0..closed {
+        let block = match closure {
+            Direction::Forward => &blocks[step],
+            Direction::Backward => &blocks[closed - step],
+        };
+        frontier = closure_toward(graph, &frontier, block, closure);
         if frontier.is_empty() {
             break;
         }
@@ -169,6 +296,19 @@ pub fn repetition_closure(
     sources: &[VertexId],
     block: &[Label],
 ) -> Vec<VertexId> {
+    closure_toward(graph, sources, block, Direction::Forward)
+}
+
+/// [`repetition_closure`] in either direction. Backward, it walks in-edges
+/// and reads `block` right to left, exactly as the index builder's backward
+/// kernel BFS does: the result is every `w` with a path from `w` to some
+/// vertex of `sources` spelling `block` one or more times.
+pub(crate) fn closure_toward(
+    graph: &LabeledGraph,
+    sources: &[VertexId],
+    block: &[Label],
+    walk: Direction,
+) -> Vec<VertexId> {
     let klen = block.len();
     with_kernel_scratch(|scratch| {
         // Visited ranges over `(vertex, position-within-block)` product
@@ -183,8 +323,8 @@ pub fn repetition_closure(
             }
         }
         while let Some((x, state)) = scratch.queue.pop_front() {
-            let expected = block[state as usize];
-            for (y, label) in graph.out_edges(x) {
+            let expected = block[walk.block_offset(state, klen as u32) as usize];
+            for (y, label) in walk.edges(graph, x) {
                 if label != expected {
                     continue;
                 }
@@ -365,5 +505,108 @@ mod tests {
         let debits = label(&g, "debits");
         let blocks = vec![vec![knows], vec![debits], vec![holds]];
         assert!(prefix_frontier(&g, p10, &blocks).is_empty());
+    }
+
+    /// Deterministic case generator (splitmix64).
+    struct CaseRng(u64);
+
+    impl CaseRng {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: usize) -> usize {
+            ((self.next_u64() as u128 * bound as u128) >> 64) as usize
+        }
+    }
+
+    /// A seeded random labelled digraph of 2–8 vertices over 1–3 labels with
+    /// up to `3n` edges (self loops and parallel edges included), and a `k`
+    /// in 1..=3 — the family of the packed-layout differential.
+    fn random_case(seed: u64) -> (LabeledGraph, usize) {
+        let mut rng = CaseRng(seed);
+        let n = 2 + rng.below(7);
+        let labels = 1 + rng.below(3);
+        let k = 1 + rng.below(3);
+        let mut builder = GraphBuilder::with_capacity(n, labels);
+        for _ in 0..rng.below(3 * n + 1) {
+            let (s, l, t) = (rng.below(n), rng.below(labels), rng.below(n));
+            builder.add_edge(s as VertexId, Label::from_index(l), t as VertexId);
+        }
+        (builder.build(), k)
+    }
+
+    #[test]
+    fn both_closure_directions_answer_every_concatenation_alike() {
+        for seed in 0..48u64 {
+            let (g, k) = random_case(seed);
+            let index = &build_index(&g, &BuildConfig::new(k)).0;
+            let blocks_pool = crate::repeats::enumerate_minimum_repeats(g.label_count().max(1), k);
+            // The backward closure of every block is the converse of the
+            // forward one: w is in it iff t is in the forward closure of w.
+            for block in &blocks_pool {
+                let forward: Vec<Vec<VertexId>> = g
+                    .vertices()
+                    .map(|w| repetition_closure(&g, &[w], block))
+                    .collect();
+                for t in g.vertices() {
+                    let expected: Vec<VertexId> = g
+                        .vertices()
+                        .filter(|&w| forward[w as usize].contains(&t))
+                        .collect();
+                    assert_eq!(
+                        closure_toward(&g, &[t], block, Direction::Backward),
+                        expected,
+                        "seed {seed}: backward closure of {t} under {block:?}"
+                    );
+                }
+            }
+            let mut rng = CaseRng(seed ^ 0xD1CE);
+            let pairs: Vec<(VertexId, VertexId)> = g
+                .vertices()
+                .flat_map(|s| g.vertices().map(move |t| (s, t)))
+                .collect();
+            for _ in 0..24 {
+                let blocks: Vec<Vec<Label>> = (0..2 + rng.below(2))
+                    .map(|_| blocks_pool[rng.below(blocks_pool.len())].clone())
+                    .collect();
+                let resolve = |block: &Vec<Label>| index.catalog().resolve(block);
+                let forced = |closure| match closure {
+                    Direction::Forward => resolve(&blocks[blocks.len() - 1]),
+                    Direction::Backward => resolve(&blocks[0]),
+                };
+                let answer = |s, t, closure| {
+                    evaluate_hybrid_prepared(&g, index, s, t, &blocks, forced(closure), closure)
+                };
+                let grouped = |closure| {
+                    let Some(mr) = forced(closure) else {
+                        return vec![Ok(false); pairs.len()];
+                    };
+                    evaluate_concat_grouped(&g, &pairs, &blocks, closure, |far| {
+                        // Forward, `far` is the target; backward, the source.
+                        move |v: VertexId| match closure {
+                            Direction::Forward => index.query_mr(v, far, mr),
+                            Direction::Backward => index.query_mr(far, v, mr),
+                        }
+                    })
+                };
+                let (grouped_forward, grouped_backward) =
+                    (grouped(Direction::Forward), grouped(Direction::Backward));
+                for (i, &(s, t)) in pairs.iter().enumerate() {
+                    let forward = answer(s, t, Direction::Forward);
+                    assert_eq!(
+                        answer(s, t, Direction::Backward),
+                        forward,
+                        "seed {seed}: ({s}, {t}) under {blocks:?}"
+                    );
+                    assert_eq!(grouped_forward[i], Ok(forward));
+                    assert_eq!(grouped_backward[i], Ok(forward));
+                }
+            }
+        }
     }
 }

@@ -31,7 +31,8 @@
 //! traversal needs, behind a thread-local pool ([`with_kernel_scratch`])
 //! so steady-state evaluation stays allocation-free.
 
-use rlc_graph::VertexId;
+use rlc_graph::graph::OutEdges;
+use rlc_graph::{LabeledGraph, VertexId};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -707,6 +708,47 @@ impl FrontierSet {
     #[doc(hidden)]
     pub fn epoch(&self) -> u32 {
         self.epoch
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Direction: which way a traversal walks the edges.
+// ---------------------------------------------------------------------------
+
+/// Which way a traversal walks the graph's edges. The index builder's
+/// kernel-based searches run both ways from every root (Algorithm 2), and
+/// the hybrid evaluator closes a concatenation from whichever end is
+/// cheaper (`crate::hybrid`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Direction {
+    /// Walks in-edges, from an edge's target to its source.
+    Backward,
+    /// Walks out-edges, from an edge's source to its target.
+    Forward,
+}
+
+impl Direction {
+    /// The edges a step out of `v` may take: `v`'s in-edges backward, its
+    /// out-edges forward, as `(neighbour, label)` pairs.
+    #[inline]
+    pub(crate) fn edges(self, graph: &LabeledGraph, v: VertexId) -> OutEdges<'_> {
+        match self {
+            Direction::Backward => graph.in_edges(v),
+            Direction::Forward => graph.out_edges(v),
+        }
+    }
+
+    /// The offset, within a block of `len` labels, of the label a step out
+    /// of `state` reads, where `state` counts the steps taken since the last
+    /// repetition boundary. A forward walk reads the block left to right and
+    /// a backward walk right to left, so the labels along the path spell the
+    /// block repeated either way.
+    #[inline]
+    pub(crate) fn block_offset(self, state: u32, len: u32) -> u32 {
+        match self {
+            Direction::Backward => len - 1 - state,
+            Direction::Forward => state,
+        }
     }
 }
 

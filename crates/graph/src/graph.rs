@@ -50,6 +50,8 @@ pub struct LabeledGraph {
     in_offsets: Vec<u32>,
     in_sources: Vec<VertexId>,
     in_labels: Vec<Label>,
+    /// Edges per label, indexed by [`Label::index`].
+    label_edges: Vec<u32>,
     labels: LabelInterner,
     /// Optional vertex names (present when built from named input).
     vertex_names: Option<Vec<String>>,
@@ -76,6 +78,7 @@ impl LabeledGraph {
         }
         let mut out_degree = vec![0u32; vertex_count];
         let mut in_degree = vec![0u32; vertex_count];
+        let mut label_edges = vec![0u32; labels.len()];
         for e in edges {
             assert!(
                 (e.source as usize) < vertex_count,
@@ -87,6 +90,10 @@ impl LabeledGraph {
             );
             out_degree[e.source as usize] += 1;
             in_degree[e.target as usize] += 1;
+            if e.label.index() >= label_edges.len() {
+                label_edges.resize(e.label.index() + 1, 0);
+            }
+            label_edges[e.label.index()] += 1;
         }
         let out_offsets = prefix_sum(&out_degree);
         let in_offsets = prefix_sum(&in_degree);
@@ -128,6 +135,7 @@ impl LabeledGraph {
             in_offsets,
             in_sources,
             in_labels,
+            label_edges,
             labels,
             vertex_names,
             name_lookup,
@@ -150,6 +158,15 @@ impl LabeledGraph {
     #[inline]
     pub fn label_count(&self) -> usize {
         self.labels.len()
+    }
+
+    /// Number of edges carrying `label` (0 for a label no edge carries).
+    /// Counted while the CSR is built, so the lookup is O(1).
+    #[inline]
+    pub fn label_edge_count(&self, label: Label) -> usize {
+        self.label_edges
+            .get(label.index())
+            .map_or(0, |&c| c as usize)
     }
 
     /// The label interner of this graph.
@@ -342,6 +359,19 @@ mod tests {
         assert_eq!(g.edge_count(), 5);
         assert_eq!(g.label_count(), 2);
         assert!((g.average_degree() - 1.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn label_edge_counts_match_the_edges() {
+        let g = diamond();
+        let x = g.labels().resolve("x").unwrap();
+        let y = g.labels().resolve("y").unwrap();
+        assert_eq!(g.label_edge_count(x), 3);
+        assert_eq!(g.label_edge_count(y), 2);
+        // A label no edge carries, inside and past the interner's range.
+        assert_eq!(g.label_edge_count(Label(7)), 0);
+        let idle = LabeledGraph::from_edges(2, &[], LabelInterner::anonymous(3), None);
+        assert_eq!(idle.label_edge_count(Label(2)), 0);
     }
 
     #[test]

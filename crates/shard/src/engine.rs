@@ -4,8 +4,8 @@
 //! ## Routing
 //!
 //! * **Same-shard pairs** go to the local shard first: the shard's own RLC
-//!   index answers the constraint over the shard subgraph (the hybrid
-//!   index + traversal evaluation of the unsharded engines, via
+//!   index answers the constraint over the shard subgraph (the forward
+//!   hybrid index + traversal evaluation, closing from the source, via
 //!   [`evaluate_blocks_with`]). A local *true* is globally true — every
 //!   intra-shard path is a path of the full graph. A local *false* is
 //!   definitive only when the shard is **closed** (no outgoing or no
