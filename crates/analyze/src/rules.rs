@@ -195,8 +195,8 @@ fn intrinsics_confinement(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
                 ctx.finding(
                     token,
                     INTRINSICS_CONFINEMENT,
-                    "architecture intrinsics path outside the kernel module; go through the \
-                 rlc_core::kernel WordOps dispatcher instead"
+                    "architecture intrinsics path outside the kernel module; use the portable \
+                 rlc_core::kernel::FrontierSet word ops instead"
                         .to_owned(),
                 ),
             );
@@ -205,7 +205,7 @@ fn intrinsics_confinement(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
                 ctx.finding(
                     token,
                     INTRINSICS_CONFINEMENT,
-                    "feature detection outside the kernel module; the runtime dispatcher in \
+                    "feature detection outside the kernel module; kernel_name in \
                  crates/core/src/kernel.rs owns CPU feature decisions"
                         .to_owned(),
                 ),
@@ -215,8 +215,8 @@ fn intrinsics_confinement(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
                 ctx.finding(
                     token,
                     INTRINSICS_CONFINEMENT,
-                    "#[target_feature] outside the kernel module; SIMD entry points live behind \
-                 the kernel dispatcher"
+                    "#[target_feature] outside the kernel module; frontier word ops live in \
+                 crates/core/src/kernel.rs"
                         .to_owned(),
                 ),
             );

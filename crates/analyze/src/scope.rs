@@ -1,7 +1,7 @@
-//! Source classification: which file class a path falls in, which token
-//! ranges are test-gated, and which function encloses a token.
+//! Source classification: which file class a path falls in and which token
+//! ranges are test-gated.
 //!
-//! The rules need three kinds of context the raw token stream does not
+//! The rules need two kinds of context the raw token stream does not
 //! carry:
 //!
 //! * **file class** — library code (`src/`, `crates/*/src/` excluding
@@ -9,8 +9,7 @@
 //!   one special file (`crates/core/src/kernel.rs`) where `unsafe` and
 //!   architecture intrinsics are allowed to live;
 //! * **test spans** — token ranges under `#[cfg(test)]` / `#[test]`,
-//!   exempt from the library-surface rules;
-//! * **function spans** — the innermost named `fn` containing a token.
+//!   exempt from the library-surface rules.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -38,30 +37,17 @@ pub fn classify(path: &str) -> FileClass {
     }
 }
 
-/// A named function's token span (`start..end`, token indexes).
-#[derive(Clone, Debug)]
-pub struct FnSpan {
-    /// The function's name.
-    pub name: String,
-    /// Index of the `fn` keyword token.
-    pub start: usize,
-    /// One past the index of the body's closing brace.
-    pub end: usize,
-}
-
 /// Token-range classification computed once per file.
 #[derive(Debug, Default)]
 pub struct Scopes {
     test_spans: Vec<(usize, usize)>,
-    fns: Vec<FnSpan>,
 }
 
 impl Scopes {
-    /// Computes test-gated and function spans for a token stream.
+    /// Computes the test-gated spans of a token stream.
     pub fn compute(tokens: &[Token]) -> Scopes {
         Scopes {
             test_spans: test_spans(tokens),
-            fns: fn_spans(tokens),
         }
     }
 
@@ -70,19 +56,6 @@ impl Scopes {
         self.test_spans
             .iter()
             .any(|&(start, end)| idx >= start && idx < end)
-    }
-
-    /// The innermost named function containing the token at `idx`.
-    pub fn enclosing_fn(&self, idx: usize) -> Option<&FnSpan> {
-        self.fns
-            .iter()
-            .filter(|f| idx >= f.start && idx < f.end)
-            .min_by_key(|f| f.end - f.start)
-    }
-
-    /// All function spans in the file, in source order.
-    pub fn fns(&self) -> &[FnSpan] {
-        &self.fns
     }
 }
 
@@ -170,56 +143,6 @@ fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
     spans
 }
 
-fn fn_spans(tokens: &[Token]) -> Vec<FnSpan> {
-    let mut fns = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        let is_fn_item = tokens[i].is_ident("fn")
-            && tokens
-                .get(i + 1)
-                .map(|t| t.kind == TokenKind::Ident)
-                .unwrap_or(false);
-        if !is_fn_item {
-            i += 1;
-            continue;
-        }
-        let name = tokens[i + 1].text.clone();
-        // Scan the signature for the body `{` (or a `;` for a bodiless
-        // trait method), tracking paren/bracket depth so array types like
-        // `[u8; 4]` in parameters cannot end the item early.
-        let mut depth = 0usize;
-        let mut j = i + 2;
-        let mut body_open = None;
-        while j < tokens.len() {
-            let t = &tokens[j];
-            if t.is_punct('(') || t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') {
-                depth = depth.saturating_sub(1);
-            } else if t.is_punct('{') && depth == 0 {
-                body_open = Some(j);
-                break;
-            } else if t.is_punct(';') && depth == 0 {
-                break;
-            }
-            j += 1;
-        }
-        if let Some(open) = body_open {
-            let end = matching(tokens, open, '{', '}');
-            fns.push(FnSpan {
-                name,
-                start: i,
-                end,
-            });
-            // Continue *inside* the body so nested fns are recorded too.
-            i += 2;
-        } else {
-            i = j + 1;
-        }
-    }
-    fns
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,27 +204,6 @@ mod tests {
             .position(|t| t.is_ident("real"))
             .unwrap();
         assert!(!scopes.in_test(real_idx));
-    }
-
-    #[test]
-    fn enclosing_fn_finds_innermost() {
-        let src = "fn outer() { fn inner() { let x = 1; } }";
-        let lexed = lex(src);
-        let scopes = Scopes::compute(&lexed.tokens);
-        let x_idx = lexed.tokens.iter().position(|t| t.is_ident("x")).unwrap();
-        assert_eq!(
-            scopes.enclosing_fn(x_idx).map(|f| f.name.as_str()),
-            Some("inner")
-        );
-    }
-
-    #[test]
-    fn fn_pointer_types_are_not_fn_items() {
-        let src = "type F = fn(u32) -> u32; fn real() {}";
-        let lexed = lex(src);
-        let scopes = Scopes::compute(&lexed.tokens);
-        assert_eq!(scopes.fns().len(), 1);
-        assert_eq!(scopes.fns()[0].name, "real");
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! bit-parallel ([`rlc_core::kernel::FrontierSet`]): instead of probing
 //! the opposite side once per generated product state, each level is
 //! expanded bit-wise and the meet test is a single word-parallel
-//! intersection of the two visited sets through the runtime-dispatched
-//! SIMD kernel — 64 product states per word op.
+//! intersection of the two visited sets — 64 product states per word op.
 
 use crate::nfa::Nfa;
 use crate::scratch::{with_scratch, ProductScratch};

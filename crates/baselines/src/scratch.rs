@@ -13,8 +13,8 @@
 //! The visited sets used to be scalar `u32` stamp tables (one stamp per
 //! product slot). They are now dense `u64` bitset words with word-granular
 //! epoch stamps: 1 bit per slot instead of 32, and set operations (the
-//! BiBFS frontier meet in particular) run through the runtime-dispatched
-//! SIMD kernels of [`rlc_core::kernel`].
+//! BiBFS frontier meet in particular) run over whole words in
+//! [`rlc_core::kernel`].
 
 use rlc_core::kernel::FrontierSet;
 use rlc_graph::VertexId;

@@ -290,7 +290,7 @@ pub(crate) fn frontier_toward(
 /// blocks of a concatenated constraint. The visited and boundary sets are
 /// bit-parallel [`crate::kernel::FrontierSet`]s from the thread-local
 /// kernel-scratch pool, so batch evaluation allocates nothing per query
-/// beyond the returned vector (pre-sized by a dispatched popcount).
+/// beyond the returned vector.
 pub fn repetition_closure(
     graph: &LabeledGraph,
     sources: &[VertexId],
@@ -341,7 +341,7 @@ pub(crate) fn closure_toward(
                 }
             }
         }
-        let mut out = Vec::with_capacity(scratch.boundary.count());
+        let mut out = Vec::new();
         scratch.boundary.for_each_set(|v| out.push(v as VertexId));
         out
     })

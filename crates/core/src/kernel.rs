@@ -1,31 +1,21 @@
-//! Bit-parallel frontier kernels with runtime-dispatched SIMD.
+//! Bit-parallel frontier sets.
 //!
 //! Every traversal in the workspace — the baseline BFS/BiBFS/DFS product
 //! searches, the hybrid layer's repetition closures, and the sharded
 //! stitcher — explores dense slot spaces (`vertex × NFA-state` products or
 //! plain vertex sets). This module re-represents those visited/frontier
 //! sets as dense `u64` bitset words so that dedup, settled checks, and
-//! frontier meets process 64 slots per operation:
+//! frontier meets process 64 slots per operation.
 //!
-//! * [`FrontierSet`] — an epoch-stamped bitset. The epoch-stamp trick of
-//!   the scalar scratch tables carries over at *word* granularity: each
-//!   64-bit word has a `u32` stamp, a word participates only when its
-//!   stamp equals the set's current epoch, and clearing between queries is
-//!   a single epoch bump (no per-query allocation, no O(slots) clear).
-//! * [`WordOps`] — the word-wise kernel behind the set operations:
-//!   intersection tests (`intersects`), OR-expansion (`or_expand`) and
-//!   population counts (`count_ones`) over epoch-masked word arrays.
-//!
-//! Two `WordOps` backends exist behind one trait object: a portable
-//! generic backend (plain scalar word loops, compiled on every platform)
-//! and a SIMD lane — AVX2 on `x86_64`, NEON on `aarch64` — selected once
-//! at first use via runtime feature detection. One binary therefore runs
-//! vectorized where the CPU supports it and falls back to the generic
-//! reference everywhere else. The choice can be forced for testing with
-//! the `RLC_KERNEL=generic|simd` environment variable or switched
-//! in-process with [`set_kernel`]; both backends produce bit-identical
-//! results (`simd_and_generic_backends_agree` below and the ten-engine
-//! differential under both forced backends assert this).
+//! [`FrontierSet`] is an epoch-stamped bitset. The epoch-stamp trick of the
+//! scalar scratch tables carries over at *word* granularity: each 64-bit
+//! word has a `u32` stamp, a word participates only when its stamp equals
+//! the set's current epoch, and clearing between queries is a single epoch
+//! bump (no per-query allocation, no O(slots) clear). Its word operations —
+//! the meet test ([`FrontierSet::intersects`]) and OR-expansion
+//! ([`FrontierSet::union_from`]) — are plain safe loops over the word and
+//! stamp arrays, shaped so the compiler vectorizes them at the baseline
+//! target. There is one implementation, with no runtime dispatch.
 //!
 //! [`KernelScratch`] bundles the frontier sets and work queue a closure
 //! traversal needs, behind a thread-local pool ([`with_kernel_scratch`])
@@ -35,64 +25,35 @@ use rlc_graph::graph::OutEdges;
 use rlc_graph::{LabeledGraph, VertexId};
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Bits per frontier word.
 const WORD_BITS: usize = 64;
 
-/// A borrowed, epoch-masked view of a [`FrontierSet`]'s word array.
+/// Words per step of [`FrontierSet::intersects`]: the meet is tested only
+/// between steps, so each step is a straight-line block the compiler
+/// vectorizes.
+const MEET_STEP: usize = 8;
+
+/// The vector class of the host CPU: `"avx2"` on an `x86_64` CPU with AVX2
+/// and POPCNT, `"neon"` on `aarch64`, `"generic"` elsewhere.
 ///
-/// A word at position `i` contributes its stored bits iff
-/// `stamps[i] == epoch`; otherwise it reads as an all-zero word (it is
-/// left over from an earlier traversal and has not been lazily cleared
-/// yet). `words` and `stamps` always have equal length.
-#[derive(Clone, Copy, Debug)]
-pub struct WordsView<'a> {
-    /// The bitset words.
-    pub words: &'a [u64],
-    /// Per-word epoch stamps.
-    pub stamps: &'a [u32],
-    /// The epoch a stamp must equal for its word to be live.
-    pub epoch: u32,
+/// It names the host, not a code path: every host runs the same portable
+/// word loops. Benchmark results record it so that runs from hosts of
+/// different vector classes are not compared.
+pub fn kernel_name() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt") {
+        return "avx2";
+    }
+    #[cfg(target_arch = "aarch64")]
+    if std::arch::is_aarch64_feature_detected!("neon") {
+        return "neon";
+    }
+    "generic"
 }
 
-/// The word-wise kernel operations, implemented by the generic backend and
-/// the per-architecture SIMD backends. All implementations are
-/// answer-identical; only throughput differs. Operations over two views
-/// run over the common word prefix (bits past the shorter array are
-/// absent from that set, so they cannot contribute to an intersection or
-/// union).
-pub trait WordOps: Sync + Send {
-    /// Backend name for diagnostics: `"generic"`, `"avx2"`, or `"neon"`.
-    fn name(&self) -> &'static str;
-
-    /// Whether the two epoch-masked bitsets share at least one set bit.
-    /// Early-exits on the first intersecting word.
-    fn intersects(&self, a: WordsView<'_>, b: WordsView<'_>) -> bool;
-
-    /// ORs the live words of `src` into the destination set (given by its
-    /// raw parts) over the common prefix, stamping every touched
-    /// destination word live at `dst_epoch`. Returns whether any
-    /// destination bit changed.
-    fn or_expand(
-        &self,
-        dst_words: &mut [u64],
-        dst_stamps: &mut [u32],
-        dst_epoch: u32,
-        src: WordsView<'_>,
-    ) -> bool;
-
-    /// Population count over the live words of the view.
-    fn count_ones(&self, a: WordsView<'_>) -> usize;
-}
-
-// ---------------------------------------------------------------------------
-// Generic backend: portable scalar word loops. This is the reference
-// semantics; the SIMD lanes must match it bit-for-bit.
-// ---------------------------------------------------------------------------
-
-struct GenericKernel;
-
+/// `word` if its stamp is live at `epoch`, otherwise an all-zero word (it
+/// is left over from an earlier traversal and not yet lazily cleared).
 #[inline]
 fn live(word: u64, stamp: u32, epoch: u32) -> u64 {
     if stamp == epoch {
@@ -101,471 +62,6 @@ fn live(word: u64, stamp: u32, epoch: u32) -> u64 {
         0
     }
 }
-
-impl WordOps for GenericKernel {
-    fn name(&self) -> &'static str {
-        "generic"
-    }
-
-    fn intersects(&self, a: WordsView<'_>, b: WordsView<'_>) -> bool {
-        a.words
-            .iter()
-            .zip(a.stamps)
-            .zip(b.words.iter().zip(b.stamps))
-            .any(|((&aw, &ast), (&bw, &bst))| live(aw, ast, a.epoch) & live(bw, bst, b.epoch) != 0)
-    }
-
-    fn or_expand(
-        &self,
-        dst_words: &mut [u64],
-        dst_stamps: &mut [u32],
-        dst_epoch: u32,
-        src: WordsView<'_>,
-    ) -> bool {
-        let mut changed = false;
-        for ((dw, ds), (&sw, &sst)) in dst_words
-            .iter_mut()
-            .zip(dst_stamps.iter_mut())
-            .zip(src.words.iter().zip(src.stamps))
-        {
-            let old = live(*dw, *ds, dst_epoch);
-            let new = old | live(sw, sst, src.epoch);
-            changed |= new != old;
-            *dw = new;
-            *ds = dst_epoch;
-        }
-        changed
-    }
-
-    fn count_ones(&self, a: WordsView<'_>) -> usize {
-        a.words
-            .iter()
-            .zip(a.stamps)
-            .map(|(&w, &s)| live(w, s, a.epoch).count_ones() as usize)
-            .sum()
-    }
-}
-
-static GENERIC: GenericKernel = GenericKernel;
-
-// ---------------------------------------------------------------------------
-// AVX2 backend (x86_64): 4 words (256 bits) per step. The per-word u32
-// stamps are compared against the epoch with a 128-bit compare whose
-// 0/-1 lanes are sign-extended to 64-bit masks, so the epoch filter is
-// applied in-register with no branches.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{live, WordsView};
-    use std::arch::x86_64::*;
-
-    /// Loads 4 words starting at `i`, masked by their epoch stamps.
-    ///
-    /// # Safety
-    /// Requires AVX2; `i + 4` must not exceed the array lengths.
-    #[inline]
-    #[target_feature(enable = "avx2,popcnt")]
-    unsafe fn masked_load(
-        words: *const u64,
-        stamps: *const u32,
-        epoch: __m128i,
-        i: usize,
-    ) -> __m256i {
-        let w = _mm256_loadu_si256(words.add(i) as *const __m256i);
-        let s = _mm_loadu_si128(stamps.add(i) as *const __m128i);
-        // 0/-1 per 32-bit stamp lane, widened to a 0/-1 64-bit word mask.
-        let mask = _mm256_cvtepi32_epi64(_mm_cmpeq_epi32(s, epoch));
-        _mm256_and_si256(w, mask)
-    }
-
-    /// # Safety
-    /// Requires AVX2 + POPCNT (checked by the dispatcher).
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn intersects(a: WordsView<'_>, b: WordsView<'_>) -> bool {
-        let n = a.words.len().min(b.words.len());
-        let ae = _mm_set1_epi32(a.epoch as i32);
-        let be = _mm_set1_epi32(b.epoch as i32);
-        let mut i = 0;
-        while i + 4 <= n {
-            let aw = masked_load(a.words.as_ptr(), a.stamps.as_ptr(), ae, i);
-            let bw = masked_load(b.words.as_ptr(), b.stamps.as_ptr(), be, i);
-            let hit = _mm256_and_si256(aw, bw);
-            if _mm256_testz_si256(hit, hit) == 0 {
-                return true;
-            }
-            i += 4;
-        }
-        while i < n {
-            if live(a.words[i], a.stamps[i], a.epoch) & live(b.words[i], b.stamps[i], b.epoch) != 0
-            {
-                return true;
-            }
-            i += 1;
-        }
-        false
-    }
-
-    /// # Safety
-    /// Requires AVX2 + POPCNT (checked by the dispatcher).
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn or_expand(
-        dst_words: &mut [u64],
-        dst_stamps: &mut [u32],
-        dst_epoch: u32,
-        src: WordsView<'_>,
-    ) -> bool {
-        let n = dst_words.len().min(src.words.len());
-        let de = _mm_set1_epi32(dst_epoch as i32);
-        let se = _mm_set1_epi32(src.epoch as i32);
-        let mut changed = false;
-        let mut i = 0;
-        while i + 4 <= n {
-            let old = masked_load(dst_words.as_ptr(), dst_stamps.as_ptr(), de, i);
-            let s = masked_load(src.words.as_ptr(), src.stamps.as_ptr(), se, i);
-            let new = _mm256_or_si256(old, s);
-            let diff = _mm256_xor_si256(new, old);
-            if _mm256_testz_si256(diff, diff) == 0 {
-                changed = true;
-            }
-            _mm256_storeu_si256(dst_words.as_mut_ptr().add(i) as *mut __m256i, new);
-            _mm_storeu_si128(dst_stamps.as_mut_ptr().add(i) as *mut __m128i, de);
-            i += 4;
-        }
-        while i < n {
-            let old = live(dst_words[i], dst_stamps[i], dst_epoch);
-            let new = old | live(src.words[i], src.stamps[i], src.epoch);
-            changed |= new != old;
-            dst_words[i] = new;
-            dst_stamps[i] = dst_epoch;
-            i += 1;
-        }
-        changed
-    }
-
-    /// # Safety
-    /// Requires AVX2 + POPCNT (checked by the dispatcher) — the live-word
-    /// counts lower to the hardware `popcnt` instruction.
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn count_ones(a: WordsView<'_>) -> usize {
-        let mut total = 0usize;
-        for (&w, &s) in a.words.iter().zip(a.stamps) {
-            total += live(w, s, a.epoch).count_ones() as usize;
-        }
-        total
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-struct Avx2Kernel;
-
-#[cfg(target_arch = "x86_64")]
-impl WordOps for Avx2Kernel {
-    fn name(&self) -> &'static str {
-        "avx2"
-    }
-
-    fn intersects(&self, a: WordsView<'_>, b: WordsView<'_>) -> bool {
-        // SAFETY: this backend is only selected when AVX2+POPCNT are
-        // detected at runtime (see `simd_available`).
-        unsafe { avx2::intersects(a, b) }
-    }
-
-    fn or_expand(
-        &self,
-        dst_words: &mut [u64],
-        dst_stamps: &mut [u32],
-        dst_epoch: u32,
-        src: WordsView<'_>,
-    ) -> bool {
-        // SAFETY: as above — AVX2+POPCNT presence is a selection invariant.
-        unsafe { avx2::or_expand(dst_words, dst_stamps, dst_epoch, src) }
-    }
-
-    fn count_ones(&self, a: WordsView<'_>) -> usize {
-        // SAFETY: as above — AVX2+POPCNT presence is a selection invariant.
-        unsafe { avx2::count_ones(a) }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-static AVX2_KERNEL: Avx2Kernel = Avx2Kernel;
-
-// ---------------------------------------------------------------------------
-// NEON backend (aarch64): 2 words (128 bits) per step. NEON is part of the
-// baseline aarch64 feature set, so detection effectively always succeeds;
-// the runtime check is kept for uniformity with the x86_64 path.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::{live, WordsView};
-    use std::arch::aarch64::*;
-
-    /// Loads 2 words starting at `i`, masked by their epoch stamps.
-    ///
-    /// # Safety
-    /// Requires NEON; `i + 2` must not exceed the array lengths.
-    #[inline]
-    #[target_feature(enable = "neon")]
-    unsafe fn masked_load(
-        words: *const u64,
-        stamps: *const u32,
-        epoch: uint32x2_t,
-        i: usize,
-    ) -> uint64x2_t {
-        let w = vld1q_u64(words.add(i));
-        // 0/-1 per 32-bit stamp lane; duplicating each lane yields the
-        // 0/-1 64-bit word masks.
-        let cmp = vceq_u32(vld1_u32(stamps.add(i)), epoch);
-        let zipped = vzip_u32(cmp, cmp);
-        let mask = vreinterpretq_u64_u32(vcombine_u32(zipped.0, zipped.1));
-        vandq_u64(w, mask)
-    }
-
-    /// # Safety
-    /// Requires NEON (checked by the dispatcher).
-    #[target_feature(enable = "neon")]
-    pub unsafe fn intersects(a: WordsView<'_>, b: WordsView<'_>) -> bool {
-        let n = a.words.len().min(b.words.len());
-        let ae = vdup_n_u32(a.epoch);
-        let be = vdup_n_u32(b.epoch);
-        let mut i = 0;
-        while i + 2 <= n {
-            let aw = masked_load(a.words.as_ptr(), a.stamps.as_ptr(), ae, i);
-            let bw = masked_load(b.words.as_ptr(), b.stamps.as_ptr(), be, i);
-            let hit = vandq_u64(aw, bw);
-            if vmaxvq_u32(vreinterpretq_u32_u64(hit)) != 0 {
-                return true;
-            }
-            i += 2;
-        }
-        while i < n {
-            if live(a.words[i], a.stamps[i], a.epoch) & live(b.words[i], b.stamps[i], b.epoch) != 0
-            {
-                return true;
-            }
-            i += 1;
-        }
-        false
-    }
-
-    /// # Safety
-    /// Requires NEON (checked by the dispatcher).
-    #[target_feature(enable = "neon")]
-    pub unsafe fn or_expand(
-        dst_words: &mut [u64],
-        dst_stamps: &mut [u32],
-        dst_epoch: u32,
-        src: WordsView<'_>,
-    ) -> bool {
-        let n = dst_words.len().min(src.words.len());
-        let de = vdup_n_u32(dst_epoch);
-        let se = vdup_n_u32(src.epoch);
-        let mut changed = false;
-        let mut i = 0;
-        while i + 2 <= n {
-            let old = masked_load(dst_words.as_ptr(), dst_stamps.as_ptr(), de, i);
-            let s = masked_load(src.words.as_ptr(), src.stamps.as_ptr(), se, i);
-            let new = vorrq_u64(old, s);
-            let diff = veorq_u64(new, old);
-            if vmaxvq_u32(vreinterpretq_u32_u64(diff)) != 0 {
-                changed = true;
-            }
-            vst1q_u64(dst_words.as_mut_ptr().add(i), new);
-            vst1_u32(dst_stamps.as_mut_ptr().add(i), de);
-            i += 2;
-        }
-        while i < n {
-            let old = live(dst_words[i], dst_stamps[i], dst_epoch);
-            let new = old | live(src.words[i], src.stamps[i], src.epoch);
-            changed |= new != old;
-            dst_words[i] = new;
-            dst_stamps[i] = dst_epoch;
-            i += 1;
-        }
-        changed
-    }
-
-    /// # Safety
-    /// Requires NEON (checked by the dispatcher).
-    #[target_feature(enable = "neon")]
-    pub unsafe fn count_ones(a: WordsView<'_>) -> usize {
-        let mut total = 0usize;
-        for (&w, &s) in a.words.iter().zip(a.stamps) {
-            total += live(w, s, a.epoch).count_ones() as usize;
-        }
-        total
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-struct NeonKernel;
-
-#[cfg(target_arch = "aarch64")]
-impl WordOps for NeonKernel {
-    fn name(&self) -> &'static str {
-        "neon"
-    }
-
-    fn intersects(&self, a: WordsView<'_>, b: WordsView<'_>) -> bool {
-        // SAFETY: this backend is only selected when NEON is detected at
-        // runtime (see `simd_available`).
-        unsafe { neon::intersects(a, b) }
-    }
-
-    fn or_expand(
-        &self,
-        dst_words: &mut [u64],
-        dst_stamps: &mut [u32],
-        dst_epoch: u32,
-        src: WordsView<'_>,
-    ) -> bool {
-        // SAFETY: as above — NEON presence is a selection invariant.
-        unsafe { neon::or_expand(dst_words, dst_stamps, dst_epoch, src) }
-    }
-
-    fn count_ones(&self, a: WordsView<'_>) -> usize {
-        // SAFETY: as above — NEON presence is a selection invariant.
-        unsafe { neon::count_ones(a) }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-static NEON_KERNEL: NeonKernel = NeonKernel;
-
-// ---------------------------------------------------------------------------
-// Runtime dispatch.
-// ---------------------------------------------------------------------------
-
-/// Which kernel backend to use. See [`set_kernel`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelChoice {
-    /// Runtime feature detection: the SIMD lane when the CPU supports it,
-    /// the generic backend otherwise. This is the startup default (unless
-    /// overridden by the `RLC_KERNEL` environment variable).
-    Auto,
-    /// Force the portable generic backend.
-    Generic,
-    /// Request the SIMD lane; falls back to generic when the CPU lacks
-    /// the required features (so forcing `simd` is always safe).
-    Simd,
-}
-
-const BACKEND_UNSET: u8 = 0;
-const BACKEND_GENERIC: u8 = 1;
-const BACKEND_SIMD: u8 = 2;
-
-/// The resolved backend: `BACKEND_UNSET` until first use, then one of
-/// `BACKEND_GENERIC`/`BACKEND_SIMD`. An atomic (rather than a `OnceLock`)
-/// so [`set_kernel`] can switch backends in-process — the kernel and
-/// differential tests run both lanes in one binary.
-static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
-
-/// Whether the CPU provides the features the SIMD lane needs.
-pub fn simd_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt")
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        std::arch::is_aarch64_feature_detected!("neon")
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        false
-    }
-}
-
-fn simd_backend() -> &'static dyn WordOps {
-    #[cfg(target_arch = "x86_64")]
-    {
-        &AVX2_KERNEL
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        &NEON_KERNEL
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        &GENERIC
-    }
-}
-
-fn resolve(choice: KernelChoice) -> u8 {
-    match choice {
-        KernelChoice::Generic => BACKEND_GENERIC,
-        KernelChoice::Auto | KernelChoice::Simd => {
-            if simd_supported() {
-                BACKEND_SIMD
-            } else {
-                BACKEND_GENERIC
-            }
-        }
-    }
-}
-
-/// Parses an `RLC_KERNEL` value; unknown strings mean [`KernelChoice::Auto`].
-fn parse_choice(value: &str) -> KernelChoice {
-    match value {
-        "generic" => KernelChoice::Generic,
-        "simd" => KernelChoice::Simd,
-        _ => KernelChoice::Auto,
-    }
-}
-
-fn env_choice() -> KernelChoice {
-    match std::env::var("RLC_KERNEL") {
-        Ok(value) => parse_choice(&value),
-        Err(_) => KernelChoice::Auto,
-    }
-}
-
-fn backend_for(id: u8) -> &'static dyn WordOps {
-    if id == BACKEND_SIMD {
-        simd_backend()
-    } else {
-        &GENERIC
-    }
-}
-
-/// The active [`WordOps`] backend.
-///
-/// The first call resolves the backend once: the `RLC_KERNEL` environment
-/// variable (`generic` or `simd`) if set, otherwise runtime feature
-/// detection (AVX2 on `x86_64`, NEON on `aarch64`, generic elsewhere).
-/// After that the hot path is a single relaxed atomic load.
-pub fn kernel() -> &'static dyn WordOps {
-    // rlc-analyze: allow(atomic-pairing) — any value read is a valid backend tag; races re-resolve
-    let mut id = BACKEND.load(Ordering::Relaxed);
-    if id == BACKEND_UNSET {
-        id = resolve(env_choice());
-        // rlc-analyze: allow(atomic-pairing) — idempotent resolution; concurrent stores agree
-        BACKEND.store(id, Ordering::Relaxed);
-    }
-    backend_for(id)
-}
-
-/// Forces the kernel backend for the whole process and returns the name
-/// of the backend actually selected (`Simd` silently degrades to
-/// `"generic"` on CPUs without the required features; `Auto` restores the
-/// detection default). Intended for tests and benches that compare lanes.
-pub fn set_kernel(choice: KernelChoice) -> &'static str {
-    let id = resolve(choice);
-    // rlc-analyze: allow(atomic-pairing) — backend id is a self-contained tag; no data is published
-    BACKEND.store(id, Ordering::Relaxed);
-    backend_for(id).name()
-}
-
-/// The name of the active backend: `"generic"`, `"avx2"`, or `"neon"`.
-pub fn kernel_name() -> &'static str {
-    kernel().name()
-}
-
-// ---------------------------------------------------------------------------
-// FrontierSet.
-// ---------------------------------------------------------------------------
 
 /// A dense bitset over traversal slots with word-granular lazy clearing.
 ///
@@ -650,31 +146,40 @@ impl FrontierSet {
         self.stamps[w] == self.epoch && self.words[w] & bit != 0
     }
 
-    /// An epoch-masked view of the word array, for [`WordOps`] calls.
-    pub fn view(&self) -> WordsView<'_> {
-        WordsView {
-            words: &self.words,
-            stamps: &self.stamps,
-            epoch: self.epoch,
-        }
-    }
-
-    /// Whether this set and `other` share a bit (dispatched word-wise
-    /// intersection with early exit).
+    /// Whether this set and `other` share a bit, over their common word
+    /// prefix (bits past the shorter set are absent from it). Exits early,
+    /// but only between steps of [`MEET_STEP`] words.
     pub fn intersects(&self, other: &FrontierSet) -> bool {
-        kernel().intersects(self.view(), other.view())
+        let n = self.words.len().min(other.words.len());
+        let (a, a_stamps) = (&self.words[..n], &self.stamps[..n]);
+        let (b, b_stamps) = (&other.words[..n], &other.stamps[..n]);
+        let hit =
+            |i: usize| live(a[i], a_stamps[i], self.epoch) & live(b[i], b_stamps[i], other.epoch);
+        let mut i = 0;
+        while i + MEET_STEP <= n {
+            if (i..i + MEET_STEP).fold(0, |acc, j| acc | hit(j)) != 0 {
+                return true;
+            }
+            i += MEET_STEP;
+        }
+        (i..n).any(|j| hit(j) != 0)
     }
 
-    /// ORs every bit of `src` into this set over the common prefix;
-    /// returns whether anything changed (dispatched word-wise OR-expand).
+    /// ORs every bit of `src` into this set over the common word prefix,
+    /// stamping every word of that prefix live; returns whether any bit
+    /// changed.
     pub fn union_from(&mut self, src: &FrontierSet) -> bool {
         let epoch = self.epoch;
-        kernel().or_expand(&mut self.words, &mut self.stamps, epoch, src.view())
-    }
-
-    /// Number of set bits (dispatched popcount).
-    pub fn count(&self) -> usize {
-        kernel().count_ones(self.view())
+        let mut changed = 0u64;
+        let dst = self.words.iter_mut().zip(self.stamps.iter_mut());
+        for ((dw, ds), (&sw, &ss)) in dst.zip(src.words.iter().zip(&src.stamps)) {
+            let old = live(*dw, *ds, epoch);
+            let new = old | live(sw, ss, src.epoch);
+            changed |= new ^ old;
+            *dw = new;
+            *ds = epoch;
+        }
+        changed != 0
     }
 
     /// Calls `f` with every set slot, in ascending order.
@@ -909,7 +414,7 @@ mod tests {
         set.begin(128);
         assert!(!set.contains(7));
         assert!(!set.contains(100));
-        assert_eq!(set.count(), 0);
+        assert_eq!(count(&set), 0);
     }
 
     #[test]
@@ -926,7 +431,7 @@ mod tests {
             !set.contains(5),
             "stale bits must not resurrect across an epoch wrap"
         );
-        assert_eq!(set.count(), 0);
+        assert_eq!(count(&set), 0);
     }
 
     #[test]
@@ -951,7 +456,7 @@ mod tests {
         let mut seen = Vec::new();
         set.for_each_set(|slot| seen.push(slot));
         assert_eq!(seen, vec![0, 63, 64, 130, 255, 299]);
-        assert_eq!(set.count(), 6);
+        assert_eq!(count(&set), 6);
     }
 
     #[test]
@@ -967,7 +472,7 @@ mod tests {
         assert!(a.contains(1));
         assert!(a.contains(200));
         assert!(!a.union_from(&b), "second union must be a no-op");
-        assert_eq!(a.count(), 2);
+        assert_eq!(count(&a), 2);
     }
 
     #[test]
@@ -986,9 +491,10 @@ mod tests {
         assert!(!a.intersects(&b));
     }
 
-    /// Builds a deterministic pseudo-random view with a mix of live and
-    /// stale words, so backend comparisons exercise the epoch masking.
-    fn scrambled(seed: u64, words: usize, epoch: u32) -> (Vec<u64>, Vec<u32>) {
+    /// Builds a deterministic pseudo-random set over `words` words at
+    /// `epoch`, with about half the words stale and garbage bits left in
+    /// them, so the word ops must apply the epoch masking.
+    fn scrambled(seed: u64, words: usize, epoch: u32) -> FrontierSet {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -996,84 +502,76 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut ws = Vec::with_capacity(words);
-        let mut ss = Vec::with_capacity(words);
+        let mut set = FrontierSet {
+            words: Vec::with_capacity(words),
+            stamps: Vec::with_capacity(words),
+            epoch,
+        };
         for _ in 0..words {
-            ws.push(next());
-            // ~half the words stale, with garbage bits left in them.
-            ss.push(if next() % 2 == 0 {
+            set.words.push(next());
+            set.stamps.push(if next() % 2 == 0 {
                 epoch
             } else {
                 epoch ^ 0x5a5a
             });
         }
-        (ws, ss)
+        set
+    }
+
+    /// The set's members, read slot by slot through `contains`: the
+    /// reference the word ops are checked against.
+    fn members(set: &FrontierSet) -> Vec<usize> {
+        (0..set.words.len() * WORD_BITS)
+            .filter(|&slot| set.contains(slot))
+            .collect()
+    }
+
+    fn count(set: &FrontierSet) -> usize {
+        let mut n = 0;
+        set.for_each_set(|_| n += 1);
+        n
     }
 
     #[test]
-    fn simd_and_generic_backends_agree() {
-        if !simd_supported() {
-            return; // generic-only platform: nothing to compare.
-        }
-        let simd = simd_backend();
-        for seed in 0..24u64 {
-            // Odd lengths exercise the scalar tails past the SIMD chunks.
-            let words = (seed as usize % 9) + 1;
-            let (aw, ast) = scrambled(seed, words, 7);
-            let (bw, bst) = scrambled(seed + 1000, words, 9);
-            let a = WordsView {
-                words: &aw,
-                stamps: &ast,
-                epoch: 7,
+    fn word_ops_match_the_per_slot_reference() {
+        for seed in 0..96u64 {
+            // Unequal lengths, most not a multiple of the meet step.
+            let (a_len, b_len) = (seed as usize % 21, (seed as usize * 7 + 3) % 26);
+            let b_epoch = [9, u32::MAX, 1][seed as usize % 3];
+            let make_a = || {
+                let mut a = scrambled(seed, a_len, 7);
+                if seed % 4 == 3 {
+                    // Through the epoch wrap: every stamp resets, and the
+                    // garbage bits left in the words must stay dead.
+                    a.force_epoch(u32::MAX);
+                    a.begin(a_len * WORD_BITS);
+                    assert_eq!(a.epoch(), 1);
+                }
+                a
             };
-            let b = WordsView {
-                words: &bw,
-                stamps: &bst,
-                epoch: 9,
-            };
-            assert_eq!(
-                GENERIC.intersects(a, b),
-                simd.intersects(a, b),
-                "seed {seed}"
-            );
-            assert_eq!(GENERIC.count_ones(a), simd.count_ones(a), "seed {seed}");
+            let a = make_a();
+            let b = scrambled(seed + 1000, b_len, b_epoch);
+            let (ma, mb) = (members(&a), members(&b));
 
-            let mut dw_g = aw.clone();
-            let mut ds_g = ast.clone();
-            let mut dw_s = aw.clone();
-            let mut ds_s = ast.clone();
-            let changed_g = GENERIC.or_expand(&mut dw_g, &mut ds_g, 7, b);
-            let changed_s = simd.or_expand(&mut dw_s, &mut ds_s, 7, b);
-            assert_eq!(changed_g, changed_s, "seed {seed}");
-            assert_eq!(dw_g, dw_s, "seed {seed}");
-            assert_eq!(ds_g, ds_s, "seed {seed}");
+            let mut seen = Vec::new();
+            a.for_each_set(|slot| seen.push(slot));
+            assert_eq!(seen, ma, "for_each_set, seed {seed}");
+
+            let meet = ma.iter().any(|slot| mb.binary_search(slot).is_ok());
+            assert_eq!(a.intersects(&b), meet, "intersects, seed {seed}");
+            assert_eq!(b.intersects(&a), meet, "intersects, seed {seed}");
+
+            let common = a_len.min(b_len) * WORD_BITS;
+            let mut expected = ma.clone();
+            expected.extend(mb.iter().filter(|&&slot| slot < common));
+            expected.sort_unstable();
+            expected.dedup();
+            let mut union = make_a();
+            let changed = union.union_from(&b);
+            assert_eq!(members(&union), expected, "union_from, seed {seed}");
+            assert_eq!(changed, expected != ma, "changed flag, seed {seed}");
+            assert!(!union.union_from(&b), "a repeated union is a no-op");
         }
-    }
-
-    #[test]
-    fn backend_dispatch_respects_forced_choice() {
-        // All name assertions live in this one test: `set_kernel` flips a
-        // process-global, and concurrent tests may observe (harmlessly —
-        // answers are backend-identical) but must not assert the name.
-        let name = set_kernel(KernelChoice::Generic);
-        assert_eq!(name, "generic");
-        assert_eq!(kernel_name(), "generic");
-        let forced = set_kernel(KernelChoice::Simd);
-        if simd_supported() {
-            assert!(forced == "avx2" || forced == "neon", "got {forced}");
-        } else {
-            assert_eq!(forced, "generic", "Simd must degrade gracefully");
-        }
-        let auto = set_kernel(KernelChoice::Auto);
-        assert_eq!(auto == "generic", !simd_supported());
-    }
-
-    #[test]
-    fn env_values_parse_as_documented() {
-        assert_eq!(parse_choice("generic"), KernelChoice::Generic);
-        assert_eq!(parse_choice("simd"), KernelChoice::Simd);
-        assert_eq!(parse_choice(""), KernelChoice::Auto);
-        assert_eq!(parse_choice("avx512"), KernelChoice::Auto);
     }
 
     #[test]

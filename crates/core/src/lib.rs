@@ -37,7 +37,7 @@
 //! | [`order`] | §V-B | vertex orderings (IN-OUT and ablation alternatives) |
 //! | [`catalog`] | §V-C | interning of minimum repeats |
 //! | [`hybrid`] | §VI-C | extended `a+ ∘ b+` queries (index + traversal) |
-//! | [`kernel`] | — | bit-parallel frontier kernels (generic + runtime-dispatched SIMD) |
+//! | [`kernel`] | — | bit-parallel frontier sets (one portable word-loop lane) |
 //! | [`engine`] | — | the `ReachabilityEngine` evaluator abstraction (prepare/execute) |
 //! | [`plan`] | — | the constraint-grouping `BatchPlan` for mixed query batches |
 //! | [`cache`] | — | the cross-batch `PlanCache` of prepared constraints |
@@ -53,9 +53,10 @@ pub mod catalog;
 pub mod engine;
 pub mod hybrid;
 pub mod index;
-// The one module allowed to contain unsafe code: the SIMD kernels and the
-// runtime dispatcher. `rlc-analyze`'s unsafe-confinement rule enforces the
-// same boundary textually; this is the compiler-level backstop.
+// The one module allowed to contain unsafe code, for its counting
+// allocator (`kernel::alloc_count`). `rlc-analyze`'s unsafe-confinement
+// rule enforces the same boundary textually; this is the compiler-level
+// backstop.
 #[allow(unsafe_code)]
 pub mod kernel;
 pub mod order;
@@ -75,7 +76,7 @@ pub use hybrid::{
     evaluate_blocks_grouped_with, evaluate_blocks_with, prefix_frontier, repetition_closure,
 };
 pub use index::{EntryRow, IndexEntry, IndexStats, RlcIndex, TargetProbe};
-pub use kernel::{kernel, kernel_name, set_kernel, FrontierSet, KernelChoice, WordOps, WordsView};
+pub use kernel::{kernel_name, FrontierSet};
 pub use order::{compute_order, OrderingStrategy, VertexOrder};
 pub use plan::BatchPlan;
 pub use query::{Constraint, Query, QueryError, RlcQuery};

@@ -149,8 +149,8 @@ impl<'q> BatchPlan<'q> {
 
     /// Executes the plan **and explains it**: returns the submission-order
     /// answers together with a machine-readable [`TraceNode`] tree — one
-    /// `batch` root carrying plan-level decisions (group count, kernel
-    /// lane, per-phase wall-clock) with one `query` child per submitted
+    /// `batch` root carrying plan-level decisions (group count, per-phase
+    /// wall-clock) with one `query` child per submitted
     /// query, produced by the engine's
     /// [`ReachabilityEngine::explain_prepared`].
     ///
@@ -168,8 +168,7 @@ impl<'q> BatchPlan<'q> {
         let mut root = TraceNode::new("batch");
         root.attr("engine", engine.name())
             .attr("queries", self.query_count)
-            .attr("groups", self.groups.len())
-            .attr("kernel_lane", crate::kernel::kernel_name());
+            .attr("groups", self.groups.len());
 
         // Phase 1: prepare each group once, through the cache when given.
         type ExplainedPrepare = (Result<Arc<Prepared>, QueryError>, Option<PrepareOutcome>);

@@ -13,8 +13,8 @@
 //!   the global registry is disabled (the default), starting a span is one
 //!   relaxed load — no clock read, no allocation.
 //! * **EXPLAIN traces** ([`TraceNode`]): a machine-readable tree of
-//!   per-query plan decisions (cache hit, shard route, kernel lane,
-//!   per-phase timings) rendered as JSON, collected in a bounded
+//!   per-query plan decisions (cache hit, shard route, per-phase
+//!   timings) rendered as JSON, collected in a bounded
 //!   [`TraceJournal`] served by `rlc-serve`'s `GET /admin/explain`.
 //!
 //! The exposition module ([`expo`]) renders `# TYPE`-annotated text with

@@ -4,7 +4,7 @@
 //! decision: a name, ordered `key → value` attributes, and child nodes.
 //! The planner builds one node per batch with one child per query;
 //! engines append their routing decisions (cache hit, shard route,
-//! stitch counters, kernel lane). Rendering is hand-rolled JSON —
+//! stitch counters). Rendering is hand-rolled JSON —
 //! this crate stays dependency-free — with the schema:
 //!
 //! ```json
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn json_schema_round_trips_the_shape() {
         let mut root = TraceNode::new("batch");
-        root.attr("queries", 2).attr("kernel_lane", "generic");
+        root.attr("queries", 2).attr("engine", "index");
         let mut q = TraceNode::new("query");
         q.attr("route", "stitched")
             .attr("note", "a \"quoted\"\nvalue");
@@ -197,7 +197,7 @@ mod tests {
         assert!(json.starts_with("{\"name\":\"batch\",\"attrs\":{\"queries\":\"2\""));
         assert!(json.contains("\"children\":[{\"name\":\"query\""));
         assert!(json.contains("a \\\"quoted\\\"\\nvalue"));
-        assert_eq!(root.find_attr("kernel_lane"), Some("generic"));
+        assert_eq!(root.find_attr("engine"), Some("index"));
         assert_eq!(root.find_attr_deep("route"), Some("stitched"));
         assert_eq!(root.find_attr("route"), None);
     }

@@ -151,8 +151,8 @@ impl ServeObs {
     }
 
     /// The full `GET /metrics` document: server counters and plan-cache
-    /// series ([`ServerMetrics::write_exposition`]), index-footprint and
-    /// kernel-lane gauges for `epoch`, the serve latency histograms, and
+    /// series ([`ServerMetrics::write_exposition`]), index-footprint gauges
+    /// for `epoch`, the serve latency histograms, and
     /// every series of the global registry (engine-side spans and stitch
     /// counters).
     pub fn render_metrics(
@@ -176,13 +176,6 @@ impl ServeObs {
             expo::write_type(&mut out, "rlc_serve_index_csr_bytes", "gauge");
             expo::write_sample(&mut out, "rlc_serve_index_csr_bytes", &[], csr_bytes);
         }
-        expo::write_type(&mut out, "rlc_serve_kernel_info", "gauge");
-        expo::write_sample(
-            &mut out,
-            "rlc_serve_kernel_info",
-            &[("lane", rlc_core::kernel_name())],
-            1,
-        );
 
         expo::write_type(&mut out, "rlc_serve_request_seconds", "histogram");
         for route in [Route::Query, Route::Batch, Route::Admin, Route::Other] {

@@ -407,7 +407,7 @@ impl<'g> ShardedEngine<'g> {
             if !found {
                 found = stop_at.is_some_and(|t| scratch.boundary.contains(t as usize));
             }
-            let mut closure = Vec::with_capacity(scratch.boundary.count());
+            let mut closure = Vec::new();
             scratch
                 .boundary
                 .for_each_set(|v| closure.push(v as VertexId));

@@ -92,8 +92,8 @@ pub mod prelude {
         HybridEngine, IndexEngine, PrepareCounting, Prepared, ReachabilityEngine,
     };
     pub use rlc_core::{
-        build_index, kernel_name, set_kernel, BatchPlan, BuildConfig, Constraint, KernelChoice,
-        PlanCache, Query, QueryError, RlcIndex, RlcQuery,
+        build_index, kernel_name, BatchPlan, BuildConfig, Constraint, PlanCache, Query, QueryError,
+        RlcIndex, RlcQuery,
     };
     pub use rlc_graph::{GraphBuilder, Label, LabeledGraph, PartitionStrategy, VertexId};
     pub use rlc_serve::{Epoch, IndexSlot, ServeConfig, Server};

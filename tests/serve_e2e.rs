@@ -624,17 +624,11 @@ fn metrics_exposition_parses_with_cumulative_histograms() {
     ] {
         assert!(histograms.contains(&family), "missing family {family}");
     }
-    // The gauges promised by the satellite: kernel lane, generation, and
-    // resident index bytes.
+    // The gauges promised by the satellite: generation and resident index
+    // bytes.
     assert_eq!(
         expo.families
             .get("rlc_serve_index_bytes")
-            .map(String::as_str),
-        Some("gauge")
-    );
-    assert_eq!(
-        expo.families
-            .get("rlc_serve_kernel_info")
             .map(String::as_str),
         Some("gauge")
     );
@@ -651,18 +645,6 @@ fn metrics_exposition_parses_with_cumulative_histograms() {
             .iter()
             .any(|(k, v)| k == "kind" && v == "rlc"),
         "the footprint gauge names the epoch kind"
-    );
-    let kernel_info = expo
-        .samples
-        .iter()
-        .find(|s| s.name == "rlc_serve_kernel_info")
-        .expect("kernel lane gauge");
-    assert!(
-        kernel_info
-            .labels
-            .iter()
-            .any(|(k, v)| k == "lane" && v == kernel_name()),
-        "the lane label matches the runtime dispatch"
     );
     // The request histogram really observed the five requests above.
     let query_count = expo
@@ -685,7 +667,7 @@ fn admin_explain_serves_trace_trees_through_the_sharded_stitcher() {
     // unsharded engine and (b) serve, on `GET /admin/explain`, a valid
     // JSON tree per sampled batch whose query nodes carry the cache-hit
     // flag, the shard route (with cross-shard pairs really routed through
-    // the stitcher), the kernel lane, and the per-phase wall-clock.
+    // the stitcher), and the per-phase wall-clock.
     use rlc::shard::{ShardBuildConfig, ShardedIndex};
 
     let graph = fig2();
@@ -742,10 +724,6 @@ fn admin_explain_serves_trace_trees_through_the_sharded_stitcher() {
         "traces come from the sampled micro-batcher: {body}"
     );
     assert!(body.contains("\"generation\":"), "{body}");
-    assert!(
-        body.contains(&format!("\"kernel_lane\":\"{}\"", kernel_name())),
-        "the trace names the runtime kernel lane: {body}"
-    );
     for phase in ["prepare_ns", "execute_ns", "scatter_ns"] {
         assert!(
             body.contains(&format!("\"{phase}\":")),
