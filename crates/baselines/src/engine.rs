@@ -1,7 +1,8 @@
 //! [`ReachabilityEngine`] adapters for the baseline evaluators.
 //!
-//! Each adapter borrows the graph (and, for ETC, the closure) and routes the
-//! prepare/execute surface through the scratch-backed traversal functions.
+//! Each traversal adapter borrows the graph and routes the prepare/execute
+//! surface through the scratch-backed traversal functions; ETC is the core
+//! index engine over the closure ([`EtcEngine`]).
 //! The prepared artifact of the traversal engines is the constraint's
 //! [`Nfa`], compiled once per [`ReachabilityEngine::prepare`] instead of once
 //! per query; their [`ReachabilityEngine::evaluate_prepared_group`] override
@@ -13,12 +14,11 @@ use crate::bibfs::bibfs_product;
 use crate::dfs::dfs_product;
 use crate::etc::EtcIndex;
 use crate::nfa::Nfa;
-use rlc_core::catalog::MrId;
+use rlc_core::catalog::{MrCatalog, MrId};
 use rlc_core::engine::{
-    check_vertex_range, ArtifactTag, PlanIdentity, Prepared, ReachabilityEngine,
+    check_vertex_range, BlockIndex, Generation, IndexEngine, Prepared, ReachabilityEngine,
 };
-use rlc_core::hybrid::evaluate_blocks_grouped_with;
-use rlc_core::{evaluate_blocks_with, Constraint, Query, QueryError};
+use rlc_core::{Constraint, Query, QueryError};
 use rlc_graph::{LabeledGraph, VertexId};
 use std::collections::HashMap;
 
@@ -226,144 +226,33 @@ impl ReachabilityEngine for DfsEngine<'_> {
     }
 }
 
-/// Prepared artifact of [`EtcEngine`]: the final block's minimum repeat
-/// resolved against the closure's catalog (`None` when absent — the
-/// constraint then holds for no pair), tagged with the identity of the
-/// closure it was resolved against ([`ArtifactTag`], the same guard the
-/// core index engines use) so a same-kind engine over a different closure
-/// re-prepares instead of misreading the bare `MrId`.
-struct PreparedEtc {
-    last_mr: Option<MrId>,
-    etc: ArtifactTag,
+impl BlockIndex for EtcIndex {
+    const ENGINE_NAME: &'static str = "ETC";
+
+    fn k(&self) -> usize {
+        EtcIndex::k(self)
+    }
+
+    fn generation(&self) -> Generation {
+        EtcIndex::generation(self)
+    }
+
+    fn catalog(&self) -> &MrCatalog {
+        EtcIndex::catalog(self)
+    }
+
+    fn query_mr(&self, s: VertexId, t: VertexId, mr: MrId) -> bool {
+        EtcIndex::query_mr(self, s, t, mr)
+    }
 }
 
-/// The identity tag of a closure, for [`PreparedEtc`]: address, `k`,
-/// catalog size, and the construction generation — the stamp is what makes
-/// a rebuilt closure at a reused address distinguishable (the ABA fix).
-fn etc_tag(etc: &EtcIndex) -> ArtifactTag {
-    ArtifactTag::from_raw(
-        etc as *const EtcIndex as usize,
-        etc.k(),
-        etc.catalog().len(),
-        etc.generation(),
-    )
-}
-
-/// The extended transitive closure as a [`ReachabilityEngine`].
+/// The extended transitive closure as a [`ReachabilityEngine`]: the index
+/// engine with the closure's hash lookup answering the end block.
 ///
-/// Single-block constraints are answered by the closure's hash lookup alone.
-/// Concatenated constraints are answered the same way the hybrid evaluator
-/// works: an online repetition closure for every block except the last, and
-/// one ETC lookup per frontier vertex for the final block.
-pub struct EtcEngine<'g> {
-    graph: &'g LabeledGraph,
-    etc: &'g EtcIndex,
-}
-
-impl<'g> EtcEngine<'g> {
-    /// Wraps a graph and its extended transitive closure.
-    pub fn new(graph: &'g LabeledGraph, etc: &'g EtcIndex) -> Self {
-        EtcEngine { graph, etc }
-    }
-
-    fn evaluate_resolved(
-        &self,
-        source: VertexId,
-        target: VertexId,
-        blocks: &[Vec<rlc_graph::Label>],
-        last_mr: Option<MrId>,
-    ) -> bool {
-        let Some(mr) = last_mr else {
-            return false;
-        };
-        evaluate_blocks_with(self.graph, source, blocks, |v| {
-            self.etc.query_mr(v, target, mr)
-        })
-    }
-
-    /// Resolves a preparation against this engine's closure: the artifact's
-    /// own [`MrId`] when the tag matches, otherwise a fresh re-prepare
-    /// (wrong artifact type, or a same-kind engine over a different closure
-    /// — the re-prepare re-runs the `k` check, so a constraint invalid here
-    /// still errors instead of silently evaluating).
-    fn resolved_last_mr(&self, prepared: &Prepared) -> Result<Option<MrId>, QueryError> {
-        match prepared.artifact::<PreparedEtc>() {
-            Some(artifact) if artifact.etc == etc_tag(self.etc) => Ok(artifact.last_mr),
-            _ => {
-                let own = self.prepare(prepared.constraint())?;
-                Ok(own
-                    .artifact::<PreparedEtc>()
-                    // rlc-analyze: allow(panic-free-library) — prepare() of this engine always attaches a PreparedEtc artifact; a None is a broken engine contract, not an input error
-                    .expect("EtcEngine::prepare produces a PreparedEtc artifact")
-                    .last_mr)
-            }
-        }
-    }
-}
-
-impl ReachabilityEngine for EtcEngine<'_> {
-    fn name(&self) -> &str {
-        "ETC"
-    }
-
-    fn prepare(&self, constraint: &Constraint) -> Result<Prepared, QueryError> {
-        constraint.check_block_len(self.etc.k())?;
-        let last_mr = self.etc.catalog().resolve(constraint.last_block());
-        Ok(Prepared::new(
-            constraint.clone(),
-            self.name(),
-            PreparedEtc {
-                last_mr,
-                etc: etc_tag(self.etc),
-            },
-        ))
-    }
-
-    fn evaluate_prepared(
-        &self,
-        source: VertexId,
-        target: VertexId,
-        prepared: &Prepared,
-    ) -> Result<bool, QueryError> {
-        check_vertex_range(source, target, self.graph.vertex_count())?;
-        let last_mr = self.resolved_last_mr(prepared)?;
-        Ok(self.evaluate_resolved(source, target, prepared.constraint().blocks(), last_mr))
-    }
-
-    /// Grouped execute mirroring the index engines' PR 4 override: the
-    /// shared grouped skeleton ([`evaluate_blocks_grouped_with`]) with the
-    /// final block answered by the closure's hash lookup — the prefix-block
-    /// repetition closure is computed **once per distinct source**,
-    /// single-block constraints stay per-pair lookups. Answers and errors
-    /// are indistinguishable from the per-pair path.
-    fn evaluate_prepared_group(
-        &self,
-        pairs: &[(VertexId, VertexId)],
-        prepared: &Prepared,
-    ) -> Vec<Result<bool, QueryError>> {
-        let resolved = self
-            .resolved_last_mr(prepared)
-            .map(|last_mr| last_mr.map(|mr| move |t| move |v| self.etc.query_mr(v, t, mr)));
-        evaluate_blocks_grouped_with(self.graph, pairs, prepared.constraint().blocks(), resolved)
-    }
-
-    fn evaluate(&self, query: &Query) -> Result<bool, QueryError> {
-        // One-shot fast path mirroring prepare-then-execute's validation
-        // order (k check, then vertex range) without boxing a `Prepared`.
-        let constraint = query.constraint();
-        constraint.check_block_len(self.etc.k())?;
-        check_vertex_range(query.source, query.target, self.graph.vertex_count())?;
-        let last_mr = self.etc.catalog().resolve(constraint.last_block());
-        Ok(self.evaluate_resolved(query.source, query.target, constraint.blocks(), last_mr))
-    }
-
-    fn plan_identity(&self) -> PlanIdentity {
-        // The artifact embeds an MrId resolved against this closure's
-        // catalog: plans are only shareable with engines over the exact
-        // same closure (same generation).
-        PlanIdentity::Index(etc_tag(self.etc))
-    }
-}
+/// Single-block constraints are answered by the lookup alone; concatenated
+/// constraints close online from whichever end grows more slowly and look
+/// the other end block up per frontier vertex, as over the RLC index.
+pub type EtcEngine<'g> = IndexEngine<'g, EtcIndex>;
 
 /// The three purely online traversal engines over `graph`, boxed for uniform
 /// iteration (BFS, BiBFS, DFS).
@@ -379,6 +268,7 @@ pub fn online_engines(graph: &LabeledGraph) -> Vec<Box<dyn ReachabilityEngine + 
 mod tests {
     use super::*;
     use crate::etc::EtcBuildConfig;
+    use rlc_core::kernel::Direction;
     use rlc_core::{Query, RlcQuery};
     use rlc_graph::examples::fig1_graph;
     use rlc_graph::generate::{erdos_renyi, SyntheticConfig};
@@ -592,6 +482,39 @@ mod tests {
                 ] {
                     let q = Query::concat(s, t, blocks).unwrap();
                     assert_eq!(engine.evaluate(&q), bfs.evaluate(&q), "({s},{t})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn etc_closes_concatenations_from_the_end_that_grows_slower() {
+        // The graph of the RLC engine's direction test: four x edges and one
+        // y edge, so x+ grows faster. ETC closes x+ ∘ y+ backward from the
+        // target and looks x+ up, and y+ ∘ x+ forward, as the paper does.
+        let mut builder = rlc_graph::GraphBuilder::new();
+        for (from, to) in [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")] {
+            builder.add_edge_named(from, "x", to);
+        }
+        builder.add_edge_named("d", "y", "e");
+        let g = builder.build();
+        let (x, y) = (
+            g.labels().resolve("x").unwrap(),
+            g.labels().resolve("y").unwrap(),
+        );
+        let etc = EtcIndex::build(&g, &EtcBuildConfig::new(2));
+        let engine = EtcEngine::new(&g, &etc);
+        let direction =
+            |blocks: Vec<Vec<Label>>| engine.closure_direction(&Constraint::new(blocks).unwrap());
+        assert_eq!(direction(vec![vec![x], vec![y]]), Ok(Direction::Backward));
+        assert_eq!(direction(vec![vec![y], vec![x]]), Ok(Direction::Forward));
+        assert_eq!(direction(vec![vec![x]]), Ok(Direction::Forward));
+        let bfs = BfsEngine::new(&g);
+        for s in g.vertices() {
+            for t in g.vertices() {
+                for blocks in [vec![vec![x], vec![y]], vec![vec![y], vec![x]]] {
+                    let q = Query::concat(s, t, blocks).unwrap();
+                    assert_eq!(engine.evaluate(&q), bfs.evaluate(&q), "({s}, {t})");
                 }
             }
         }

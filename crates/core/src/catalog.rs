@@ -77,6 +77,7 @@ impl MrCatalog {
     }
 
     /// Looks up a sequence without interning it.
+    #[inline]
     pub fn resolve(&self, mr: &[Label]) -> Option<MrId> {
         self.position(mr).ok().map(|found| self.lookup[found].1)
     }

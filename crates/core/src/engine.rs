@@ -24,17 +24,19 @@
 //!
 //! Implementations live next to the evaluators they wrap:
 //!
-//! * [`IndexEngine`] and [`HybridEngine`] (this module) — the RLC index,
-//!   with hybrid index + traversal evaluation of concatenated constraints;
-//! * `BfsEngine`, `BiBfsEngine`, `DfsEngine`, `EtcEngine` in
-//!   `rlc-baselines` — the online traversals and the extended transitive
-//!   closure;
+//! * [`IndexEngine`] (this module) — an index answering single blocks, with
+//!   hybrid index + traversal evaluation of concatenated constraints. It is
+//!   generic over the [`BlockIndex`] that answers the end block: the RLC
+//!   index by default, and the extended transitive closure as `EtcEngine`
+//!   in `rlc-baselines`. [`HybridEngine`] is an alias of the RLC one;
+//! * `BfsEngine`, `BiBfsEngine`, `DfsEngine` in `rlc-baselines` — the
+//!   online traversals;
+//! * the sharded engine in `rlc-shard`;
 //! * the three simulated mainstream engines in `rlc-engine-sim`.
 
-use crate::catalog::MrId;
+use crate::catalog::{MrCatalog, MrId};
 use crate::hybrid::{
-    closure_direction, evaluate_blocks_grouped_with, evaluate_concat_grouped,
-    evaluate_hybrid_prepared,
+    closure_direction, evaluate_concat_grouped, evaluate_hybrid_prepared, in_range, HybridPlan,
 };
 use crate::index::RlcIndex;
 use crate::kernel::Direction;
@@ -362,6 +364,7 @@ impl ReachabilityEngine for PrepareCounting<'_> {
 /// so an out-of-range id surfaces as [`QueryError::VertexOutOfRange`]
 /// instead of an index-out-of-bounds panic — queries are constructed
 /// without a graph, so this is the first point the ids can be validated.
+#[inline]
 pub fn check_vertex_range(
     source: VertexId,
     target: VertexId,
@@ -443,8 +446,8 @@ impl Generation {
 /// evaluation re-prepares on any mismatch. The tag combines the index
 /// structure's address, its `k` and catalog size, and — closing the ABA
 /// blind spot of address reuse after a drop — the [`Generation`] stamped
-/// into the index at construction. `EtcIndex`'s engine adapter in
-/// `rlc-baselines` uses the same tag via [`ArtifactTag::from_raw`].
+/// into the index at construction. The sharded engine in `rlc-shard` tags
+/// its artifacts the same way via [`ArtifactTag::from_raw`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ArtifactTag {
     ptr: usize,
@@ -465,45 +468,88 @@ impl ArtifactTag {
             generation,
         }
     }
+}
 
-    fn of(index: &RlcIndex) -> Self {
-        ArtifactTag::from_raw(
-            index as *const RlcIndex as usize,
-            index.k(),
-            index.catalog().len(),
-            index.generation(),
-        )
+/// The index an [`IndexEngine`] answers one block with: the surface the RLC
+/// index and the ETC baseline's `EtcIndex` (in `rlc-baselines`) share.
+///
+/// Both answer `(s, t, mr+)` for a minimum repeat resolved against their
+/// own catalog, and both are complete for every block of length ≤ `k`, so
+/// one engine drives either: the index answers a single block alone and
+/// the end block of a concatenation per frontier vertex of the online
+/// closure ([`crate::hybrid`]).
+pub trait BlockIndex: Sync {
+    /// The name an [`IndexEngine`] over this index reports.
+    const ENGINE_NAME: &'static str;
+
+    /// The recursive `k`: the longest block the index answers.
+    fn k(&self) -> usize;
+
+    /// The stamp minted when this index was constructed.
+    fn generation(&self) -> Generation;
+
+    /// The catalog of minimum repeats the index's entries refer to.
+    fn catalog(&self) -> &MrCatalog;
+
+    /// Whether `(s, t, mr+)` holds, for `mr` resolved against
+    /// [`BlockIndex::catalog`]. Vertex ids are in range.
+    fn query_mr(&self, s: VertexId, t: VertexId, mr: MrId) -> bool;
+
+    /// The lookup `s ↦ (s, t, mr+)` for one target, for callers that test
+    /// many sources against it. An index that can resolve the target half
+    /// once overrides this (the RLC index's [`crate::TargetProbe`]).
+    fn target_probe(&self, t: VertexId, mr: MrId) -> impl Fn(VertexId) -> bool + '_ {
+        move |s| self.query_mr(s, t, mr)
     }
 }
 
-/// Prepared artifact of the index-backed engines: the blocks validated
-/// against the recursive `k`, the end the online closure starts from, and
-/// the minimum repeat of the end block the index answers — the last block
-/// when closing forward, the first when closing backward — resolved against
-/// the index catalog.
+// The engine is generic, so it is compiled in the crate that names it: the
+// `#[inline]`s here and on the per-query helpers it calls (`resolve`,
+// `check_block_len`, `check_vertex_range`, `RlcIndex::query_mr`) keep them
+// inlinable there.
+impl BlockIndex for RlcIndex {
+    const ENGINE_NAME: &'static str = "RLC";
+
+    #[inline]
+    fn k(&self) -> usize {
+        RlcIndex::k(self)
+    }
+
+    #[inline]
+    fn generation(&self) -> Generation {
+        RlcIndex::generation(self)
+    }
+
+    #[inline]
+    fn catalog(&self) -> &MrCatalog {
+        RlcIndex::catalog(self)
+    }
+
+    #[inline]
+    fn query_mr(&self, s: VertexId, t: VertexId, mr: MrId) -> bool {
+        RlcIndex::query_mr(self, s, t, mr)
+    }
+
+    #[inline]
+    fn target_probe(&self, t: VertexId, mr: MrId) -> impl Fn(VertexId) -> bool + '_ {
+        let probe = RlcIndex::target_probe(self, t, mr);
+        move |s| probe.reached_from(s)
+    }
+}
+
+/// Prepared artifact of [`IndexEngine`]: the plan of a constraint whose
+/// blocks were validated against the recursive `k`, tagged with the
+/// identity of the index it was resolved against.
 struct PreparedHybrid {
     plan: HybridPlan,
     index: ArtifactTag,
-}
-
-/// How the index-backed engines answer one constraint
-/// ([`crate::hybrid`]): which way the online closure runs, and the resolved
-/// MR of the end block the index answers. `end_mr` is `None` when the
-/// constraint is unsatisfiable — an end block absent from the catalog has
-/// no index entry, so no pair is connected under it — and evaluation is
-/// then `false` without touching the graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct HybridPlan {
-    end_mr: Option<MrId>,
-    closure: Direction,
 }
 
 /// Plans a concatenation of two or more blocks: resolves both end blocks
 /// and picks the closure direction ([`crate::hybrid`]'s cost comparison).
 /// Single blocks never come here: they resolve their one block and close
 /// nothing.
-fn plan_concat(graph: &LabeledGraph, index: &RlcIndex, blocks: &[Vec<Label>]) -> HybridPlan {
-    let catalog = index.catalog();
+fn plan_concat(graph: &LabeledGraph, catalog: &MrCatalog, blocks: &[Vec<Label>]) -> HybridPlan {
     let (first, last) = (blocks.first(), blocks.last());
     let first_mr = first.and_then(|block| catalog.resolve(block));
     let last_mr = last.and_then(|block| catalog.resolve(block));
@@ -516,162 +562,33 @@ fn plan_concat(graph: &LabeledGraph, index: &RlcIndex, blocks: &[Vec<Label>]) ->
     HybridPlan { end_mr, closure }
 }
 
-/// Shared prepare implementation of [`IndexEngine`] and [`HybridEngine`].
-fn prepare_hybrid(
-    graph: &LabeledGraph,
-    index: &RlcIndex,
-    engine_name: &str,
-    constraint: &Constraint,
-) -> Result<Prepared, QueryError> {
-    constraint.check_block_len(index.k())?;
-    Ok(Prepared::new(
-        constraint.clone(),
-        engine_name,
-        PreparedHybrid {
-            plan: match constraint.blocks() {
-                [block] => HybridPlan {
-                    end_mr: index.catalog().resolve(block),
-                    closure: Direction::Forward,
-                },
-                blocks => plan_concat(graph, index, blocks),
-            },
-            index: ArtifactTag::of(index),
-        },
-    ))
-}
-
-/// Shared one-shot implementation of [`IndexEngine`] and [`HybridEngine`]:
-/// the same validation order as prepare-then-execute (`k` check, then vertex
-/// range), but without constructing a [`Prepared`] — one-shot and naive
-/// batch evaluation stay free of per-query boxing and cloning. A single
-/// block is one catalog resolve and one probe, with no plan.
-fn evaluate_hybrid_one_shot(
-    graph: &LabeledGraph,
-    index: &RlcIndex,
-    query: &Query,
-) -> Result<bool, QueryError> {
-    let constraint = query.constraint();
-    constraint.check_block_len(index.k())?;
-    check_vertex_range(query.source, query.target, graph.vertex_count())?;
-    let blocks = constraint.blocks();
-    if let [block] = blocks {
-        return Ok(index.catalog().resolve(block).is_some_and(|mr| {
-            index
-                .target_probe(query.target, mr)
-                .reached_from(query.source)
-        }));
-    }
-    let plan = plan_concat(graph, index, blocks);
-    Ok(evaluate_hybrid_prepared(
-        graph,
-        index,
-        query.source,
-        query.target,
-        blocks,
-        plan.end_mr,
-        plan.closure,
-    ))
-}
-
-/// Resolves a preparation against this engine's index: the artifact's own
-/// plan when the tag matches, otherwise a fresh re-prepare. Re-preparing
-/// covers a wrong artifact type as well as a same-kind engine over a
-/// different index — or a different *generation* of an index at the same
-/// address — and re-runs the `k` validation, so a constraint invalid here
-/// still errors instead of silently evaluating, and re-plans the closure
-/// direction against this engine's graph.
-fn hybrid_plan(
-    engine: &dyn ReachabilityEngine,
-    index: &RlcIndex,
-    prepared: &Prepared,
-) -> Result<HybridPlan, QueryError> {
-    match prepared.artifact::<PreparedHybrid>() {
-        Some(artifact) if artifact.index == ArtifactTag::of(index) => Ok(artifact.plan),
-        _ => {
-            let own = engine.prepare(prepared.constraint())?;
-            Ok(own
-                .artifact::<PreparedHybrid>()
-                // rlc-analyze: allow(panic-free-library) — prepare() of this engine always attaches a PreparedHybrid artifact; a None here is a broken engine contract, not an input error
-                .expect("prepare_hybrid produces a PreparedHybrid artifact")
-                .plan)
-        }
-    }
-}
-
-/// Shared execute implementation of [`IndexEngine`] and [`HybridEngine`].
-fn evaluate_hybrid_engine(
-    engine: &dyn ReachabilityEngine,
-    graph: &LabeledGraph,
-    index: &RlcIndex,
-    source: VertexId,
-    target: VertexId,
-    prepared: &Prepared,
-) -> Result<bool, QueryError> {
-    check_vertex_range(source, target, graph.vertex_count())?;
-    let plan = hybrid_plan(engine, index, prepared)?;
-    Ok(evaluate_hybrid_prepared(
-        graph,
-        index,
-        source,
-        target,
-        prepared.constraint().blocks(),
-        plan.end_mr,
-        plan.closure,
-    ))
-}
-
-/// Grouped execute implementation of [`IndexEngine`] and [`HybridEngine`]:
-/// the shared grouped skeleton with the end block answered by the index's
-/// merge-join lookup — the online closure is computed once per distinct
-/// source when closing forward and once per distinct target when closing
-/// backward; single-block constraints stay per-pair lookups.
-fn evaluate_hybrid_engine_group(
-    engine: &dyn ReachabilityEngine,
-    graph: &LabeledGraph,
-    index: &RlcIndex,
-    pairs: &[(VertexId, VertexId)],
-    prepared: &Prepared,
-) -> Vec<Result<bool, QueryError>> {
-    let blocks = prepared.constraint().blocks();
-    match hybrid_plan(engine, index, prepared) {
-        Ok(HybridPlan {
-            end_mr: Some(mr),
-            closure: Direction::Backward,
-        }) => evaluate_concat_grouped(graph, pairs, blocks, Direction::Backward, |s| {
-            move |w| index.query_mr(s, w, mr)
-        }),
-        plan => evaluate_blocks_grouped_with(
-            graph,
-            pairs,
-            blocks,
-            plan.map(|plan| {
-                plan.end_mr.map(|mr| {
-                    move |t| {
-                        let probe = index.target_probe(t, mr);
-                        move |v| probe.reached_from(v)
-                    }
-                })
-            }),
-        ),
-    }
-}
-
-/// The RLC index as a [`ReachabilityEngine`]: single-block constraints are
+/// An index as a [`ReachabilityEngine`]: single-block constraints are
 /// answered by the index alone (Algorithm 1), concatenated constraints by
-/// the hybrid index + traversal strategy of §VI-C.
-pub struct IndexEngine<'g> {
+/// the hybrid index + traversal strategy of §VI-C, closing online from
+/// whichever end grows more slowly and looking the other end block up in
+/// the index.
+///
+/// `I` is the index that answers the end block: the RLC index by default,
+/// and the ETC baseline's closure for `EtcEngine` in `rlc-baselines`.
+pub struct IndexEngine<'g, I = RlcIndex> {
     graph: &'g LabeledGraph,
-    index: &'g RlcIndex,
+    index: &'g I,
 }
 
-impl<'g> IndexEngine<'g> {
+/// The RLC index engine under its former name.
+///
+/// Kept only because the `benchmark/` package still names it; it goes when
+/// the benchmark switches to [`IndexEngine`].
+pub type HybridEngine<'g> = IndexEngine<'g>;
+
+impl<'g, I: BlockIndex> IndexEngine<'g, I> {
     /// Wraps a graph and its index.
-    pub fn new(graph: &'g LabeledGraph, index: &'g RlcIndex) -> Self {
+    pub fn new(graph: &'g LabeledGraph, index: &'g I) -> Self {
         IndexEngine { graph, index }
     }
 
     /// The wrapped index.
-    pub fn index(&self) -> &RlcIndex {
+    pub fn index(&self) -> &I {
         self.index
     }
 
@@ -679,15 +596,68 @@ impl<'g> IndexEngine<'g> {
     pub fn graph(&self) -> &LabeledGraph {
         self.graph
     }
+
+    /// Which end of `constraint` the online closure starts from:
+    /// [`Direction::Backward`] (from the target) when the first block grows
+    /// faster than the last, [`Direction::Forward`] otherwise. Errors as
+    /// [`ReachabilityEngine::prepare`] does.
+    pub fn closure_direction(&self, constraint: &Constraint) -> Result<Direction, QueryError> {
+        Ok(self.plan(constraint)?.closure)
+    }
+
+    fn tag(&self) -> ArtifactTag {
+        let index = self.index;
+        ArtifactTag::from_raw(
+            index as *const I as usize,
+            index.k(),
+            index.catalog().len(),
+            index.generation(),
+        )
+    }
+
+    /// Plans `constraint` against this engine's index: the `k` check, then
+    /// the end block's resolution and the closure direction.
+    fn plan(&self, constraint: &Constraint) -> Result<HybridPlan, QueryError> {
+        constraint.check_block_len(self.index.k())?;
+        let catalog = self.index.catalog();
+        Ok(match constraint.blocks() {
+            [block] => HybridPlan {
+                end_mr: catalog.resolve(block),
+                closure: Direction::Forward,
+            },
+            blocks => plan_concat(self.graph, catalog, blocks),
+        })
+    }
+
+    /// The plan of a preparation against this engine's index: the
+    /// artifact's own when the tag matches, otherwise planned afresh. That
+    /// covers a wrong artifact type as well as a same-kind engine over a
+    /// different index — or a different *generation* of an index at the
+    /// same address — and re-runs the `k` validation, so a constraint
+    /// invalid here still errors instead of silently evaluating, and
+    /// re-plans the closure direction against this engine's graph.
+    fn resolve(&self, prepared: &Prepared) -> Result<HybridPlan, QueryError> {
+        match prepared.artifact::<PreparedHybrid>() {
+            Some(artifact) if artifact.index == self.tag() => Ok(artifact.plan),
+            _ => self.plan(prepared.constraint()),
+        }
+    }
 }
 
-impl ReachabilityEngine for IndexEngine<'_> {
+impl<I: BlockIndex> ReachabilityEngine for IndexEngine<'_, I> {
     fn name(&self) -> &str {
-        "RLC"
+        I::ENGINE_NAME
     }
 
     fn prepare(&self, constraint: &Constraint) -> Result<Prepared, QueryError> {
-        prepare_hybrid(self.graph, self.index, self.name(), constraint)
+        Ok(Prepared::new(
+            constraint.clone(),
+            self.name(),
+            PreparedHybrid {
+                plan: self.plan(constraint)?,
+                index: self.tag(),
+            },
+        ))
     }
 
     fn evaluate_prepared(
@@ -696,74 +666,89 @@ impl ReachabilityEngine for IndexEngine<'_> {
         target: VertexId,
         prepared: &Prepared,
     ) -> Result<bool, QueryError> {
-        evaluate_hybrid_engine(self, self.graph, self.index, source, target, prepared)
+        check_vertex_range(source, target, self.graph.vertex_count())?;
+        let plan = self.resolve(prepared)?;
+        Ok(evaluate_hybrid_prepared(
+            self.graph,
+            self.index,
+            source,
+            target,
+            prepared.constraint().blocks(),
+            plan,
+        ))
     }
 
+    /// Grouped execute: a single block is a per-pair lookup; a
+    /// concatenation runs its online closure once per distinct source when
+    /// closing forward and once per distinct target when closing backward.
+    /// Pairs are range-checked first, exactly like the per-pair path.
     fn evaluate_prepared_group(
         &self,
         pairs: &[(VertexId, VertexId)],
         prepared: &Prepared,
     ) -> Vec<Result<bool, QueryError>> {
-        evaluate_hybrid_engine_group(self, self.graph, self.index, pairs, prepared)
+        let in_range = |pair: &(VertexId, VertexId)| in_range(self.graph, pair);
+        let plan = match self.resolve(prepared) {
+            Ok(plan) => plan,
+            Err(error) => {
+                return pairs
+                    .iter()
+                    .map(|pair| in_range(pair).and(Err(error.clone())))
+                    .collect()
+            }
+        };
+        let Some(mr) = plan.end_mr else {
+            return pairs
+                .iter()
+                .map(|pair| in_range(pair).map(|()| false))
+                .collect();
+        };
+        let index = self.index;
+        match (prepared.constraint().blocks(), plan.closure) {
+            ([_], _) => pairs
+                .iter()
+                .map(|&(s, t)| in_range(&(s, t)).map(|()| index.target_probe(t, mr)(s)))
+                .collect(),
+            (blocks, Direction::Forward) => {
+                evaluate_concat_grouped(self.graph, pairs, blocks, Direction::Forward, |t| {
+                    index.target_probe(t, mr)
+                })
+            }
+            (blocks, Direction::Backward) => {
+                evaluate_concat_grouped(self.graph, pairs, blocks, Direction::Backward, |s| {
+                    move |w| index.query_mr(s, w, mr)
+                })
+            }
+        }
     }
 
+    /// One-shot evaluation in the same validation order as
+    /// prepare-then-execute (`k` check, then vertex range), but without
+    /// constructing a [`Prepared`]. A single block is one catalog resolve
+    /// and one probe, with no plan.
     fn evaluate(&self, query: &Query) -> Result<bool, QueryError> {
-        evaluate_hybrid_one_shot(self.graph, self.index, query)
+        let constraint = query.constraint();
+        constraint.check_block_len(self.index.k())?;
+        check_vertex_range(query.source, query.target, self.graph.vertex_count())?;
+        let catalog = self.index.catalog();
+        let blocks = constraint.blocks();
+        if let [block] = blocks {
+            return Ok(catalog
+                .resolve(block)
+                .is_some_and(|mr| self.index.target_probe(query.target, mr)(query.source)));
+        }
+        Ok(evaluate_hybrid_prepared(
+            self.graph,
+            self.index,
+            query.source,
+            query.target,
+            blocks,
+            plan_concat(self.graph, catalog, blocks),
+        ))
     }
 
     fn plan_identity(&self) -> PlanIdentity {
-        PlanIdentity::Index(ArtifactTag::of(self.index))
-    }
-}
-
-/// Hybrid evaluation as its own engine: *every* query — including plain RLC
-/// queries — is routed through the combined index + online-traversal
-/// evaluator of §VI-C. Useful for differential testing the hybrid path
-/// against the pure index path on the query class where both apply.
-pub struct HybridEngine<'g> {
-    graph: &'g LabeledGraph,
-    index: &'g RlcIndex,
-}
-
-impl<'g> HybridEngine<'g> {
-    /// Wraps a graph and its index.
-    pub fn new(graph: &'g LabeledGraph, index: &'g RlcIndex) -> Self {
-        HybridEngine { graph, index }
-    }
-}
-
-impl ReachabilityEngine for HybridEngine<'_> {
-    fn name(&self) -> &str {
-        "RLC hybrid"
-    }
-
-    fn prepare(&self, constraint: &Constraint) -> Result<Prepared, QueryError> {
-        prepare_hybrid(self.graph, self.index, self.name(), constraint)
-    }
-
-    fn evaluate_prepared(
-        &self,
-        source: VertexId,
-        target: VertexId,
-        prepared: &Prepared,
-    ) -> Result<bool, QueryError> {
-        evaluate_hybrid_engine(self, self.graph, self.index, source, target, prepared)
-    }
-
-    fn evaluate_prepared_group(
-        &self,
-        pairs: &[(VertexId, VertexId)],
-        prepared: &Prepared,
-    ) -> Vec<Result<bool, QueryError>> {
-        evaluate_hybrid_engine_group(self, self.graph, self.index, pairs, prepared)
-    }
-
-    fn evaluate(&self, query: &Query) -> Result<bool, QueryError> {
-        evaluate_hybrid_one_shot(self.graph, self.index, query)
-    }
-
-    fn plan_identity(&self) -> PlanIdentity {
-        PlanIdentity::Index(ArtifactTag::of(self.index))
+        PlanIdentity::Index(self.tag())
     }
 }
 
@@ -828,21 +813,6 @@ mod tests {
         assert_eq!(batch.len(), queries.len());
         for (query, answer) in queries.iter().zip(&batch) {
             assert_eq!(*answer, engine.evaluate(query));
-        }
-    }
-
-    #[test]
-    fn hybrid_engine_agrees_with_index_engine_on_rlc_queries() {
-        let graph = fig2_graph();
-        let (index, _) = build_index(&graph, &BuildConfig::new(2));
-        let index_engine = IndexEngine::new(&graph, &index);
-        let hybrid = HybridEngine::new(&graph, &index);
-        assert_eq!(hybrid.name(), "RLC hybrid");
-        for source in graph.vertices() {
-            for target in graph.vertices() {
-                let q = Query::rlc(source, target, vec![Label(1)]).unwrap();
-                assert_eq!(hybrid.evaluate(&q), index_engine.evaluate(&q));
-            }
         }
     }
 
@@ -919,22 +889,17 @@ mod tests {
             // A final block absent from the catalog: everything false.
             Constraint::new(vec![vec![Label(1)], vec![Label(9)]]).unwrap(),
         ];
-        let index_engine = IndexEngine::new(&graph, &index);
-        let hybrid = HybridEngine::new(&graph, &index);
-        let engines: [&dyn ReachabilityEngine; 2] = [&index_engine, &hybrid];
-        for engine in engines {
-            for constraint in &constraints {
-                let prepared = engine.prepare(constraint).unwrap();
-                let grouped = engine.evaluate_prepared_group(&pairs, &prepared);
-                assert_eq!(grouped.len(), pairs.len());
-                for (&(s, t), grouped_answer) in pairs.iter().zip(&grouped) {
-                    assert_eq!(
-                        *grouped_answer,
-                        engine.evaluate_prepared(s, t, &prepared),
-                        "{} on ({s},{t}) under {constraint:?}",
-                        engine.name()
-                    );
-                }
+        let engine = IndexEngine::new(&graph, &index);
+        for constraint in &constraints {
+            let prepared = engine.prepare(constraint).unwrap();
+            let grouped = engine.evaluate_prepared_group(&pairs, &prepared);
+            assert_eq!(grouped.len(), pairs.len());
+            for (&(s, t), grouped_answer) in pairs.iter().zip(&grouped) {
+                assert_eq!(
+                    *grouped_answer,
+                    engine.evaluate_prepared(s, t, &prepared),
+                    "({s},{t}) under {constraint:?}"
+                );
             }
         }
     }
@@ -1057,14 +1022,15 @@ mod tests {
 
         // Forge the exact stale artifact the old scheme could not detect:
         // A's resolution and generation, force-aliased onto B's address.
+        let stale_plan = HybridPlan {
+            end_mr: stale_mr,
+            closure: Direction::Forward,
+        };
         let forged = Prepared::new(
             constraint.clone(),
             "RLC",
             PreparedHybrid {
-                plan: HybridPlan {
-                    end_mr: stale_mr,
-                    closure: Direction::Forward,
-                },
+                plan: stale_plan,
                 index: ArtifactTag::from_raw(
                     &index_b as *const RlcIndex as usize,
                     index_b.k(),
@@ -1083,8 +1049,7 @@ mod tests {
             a,
             b,
             constraint.blocks(),
-            stale_mr,
-            Direction::Forward
+            stale_plan
         ));
         assert_eq!(
             engine_b.evaluate(&Query::new(a, b, constraint.clone())),
@@ -1180,7 +1145,7 @@ mod tests {
 
     /// The plan of a preparation as an engine resolves it.
     fn plan_of(engine: &IndexEngine<'_>, prepared: &Prepared) -> HybridPlan {
-        hybrid_plan(engine, engine.index(), prepared).unwrap()
+        engine.resolve(prepared).unwrap()
     }
 
     #[test]
@@ -1324,10 +1289,8 @@ mod tests {
     fn engines_are_object_safe() {
         let graph = fig2_graph();
         let (index, _) = build_index(&graph, &BuildConfig::new(2));
-        let engines: Vec<Box<dyn ReachabilityEngine + '_>> = vec![
-            Box::new(IndexEngine::new(&graph, &index)),
-            Box::new(HybridEngine::new(&graph, &index)),
-        ];
+        let engines: Vec<Box<dyn ReachabilityEngine + '_>> =
+            vec![Box::new(IndexEngine::new(&graph, &index))];
         let q = Query::rlc(0, 1, vec![Label(0)]).unwrap();
         for engine in &engines {
             let single = engine.evaluate(&q);

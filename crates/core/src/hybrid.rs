@@ -15,17 +15,17 @@
 //! index lookup per frontier vertex is all it costs when the index answers
 //! it instead.
 //!
-//! The entry points are the engine layer's [`crate::engine::IndexEngine`] /
-//! [`crate::engine::HybridEngine`] over the unified
-//! [`crate::query::Query`] model. The public forward skeletons
-//! ([`evaluate_blocks_with`], [`evaluate_blocks_grouped_with`],
-//! [`prefix_frontier`], [`repetition_closure`]) keep the paper's
-//! source-side strategy for the ETC adapter in `rlc-baselines` and the
-//! sharded stitcher in `rlc-shard`.
+//! The entry point is the engine layer's [`crate::engine::IndexEngine`],
+//! over the RLC index or the ETC baseline's closure: either answers the end
+//! block, so both close from the cheaper end. The public forward skeletons
+//! ([`evaluate_blocks_with`], [`prefix_frontier`], [`repetition_closure`])
+//! keep the paper's source-side strategy for the sharded stitcher in
+//! `rlc-shard` and the `benchmark/` package.
 
 use crate::catalog::MrId;
-use crate::index::RlcIndex;
+use crate::engine::BlockIndex;
 use crate::kernel::{with_kernel_scratch, Direction};
+use crate::query::QueryError;
 use rlc_graph::{Label, LabeledGraph, VertexId};
 
 /// The shared skeleton of forward hybrid evaluation over pre-validated
@@ -33,12 +33,10 @@ use rlc_graph::{Label, LabeledGraph, VertexId};
 /// block except the last ([`prefix_frontier`]), then reports whether
 /// `last_block_reaches` holds for any frontier vertex.
 ///
-/// This is the frontier loop behind the ETC engine in `rlc-baselines` (last
-/// block answered by a closure lookup), the sharded stitcher's local fast
-/// path, and the RLC-index engines when they close forward (last block
-/// answered by [`RlcIndex`] lookup; closing backward, they run the same
-/// skeleton from the target) — the lookup is the only difference, so it is
-/// the parameter.
+/// This is the frontier loop behind the sharded stitcher's local fast path
+/// and the index engines when they close forward (closing backward, they
+/// run the same skeleton from the target) — the lookup is the only
+/// difference, so it is the parameter.
 pub fn evaluate_blocks_with(
     graph: &LabeledGraph,
     source: VertexId,
@@ -99,94 +97,47 @@ pub(crate) fn closure_direction(graph: &LabeledGraph, blocks: &[Vec<Label>]) -> 
     }
 }
 
+/// How the index engines answer one constraint: which way the online
+/// closure runs, and the resolved MR of the end block the index answers —
+/// the last block when closing forward, the first when closing backward.
+/// `end_mr` is `None` when the constraint is unsatisfiable — an end block
+/// absent from the catalog has no index entry, so no pair is connected
+/// under it — and evaluation is then `false` without touching the graph.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct HybridPlan {
+    pub(crate) end_mr: Option<MrId>,
+    pub(crate) closure: Direction,
+}
+
 /// Hybrid evaluation over a pre-validated block structure with one end
 /// block's minimum repeat already resolved against the index catalog — the
 /// execute half of the prepare/execute split
 /// ([`crate::engine::ReachabilityEngine::evaluate_prepared`]).
 ///
-/// `closure` says which end the online closure starts from: forward, the
-/// index answers the last block (`end_mr` is its MR) between each frontier
-/// vertex and `target`; backward, it answers the first block between
-/// `source` and each frontier vertex of the target. `end_mr` is `None` when
-/// the constraint is known unsatisfiable (an end block's MR does not occur
-/// in the catalog), and the answer is then `false` without touching the
-/// graph.
-pub(crate) fn evaluate_hybrid_prepared(
+/// Closing forward, the index answers the last block between each frontier
+/// vertex and `target`; closing backward, it answers the first block
+/// between `source` and each frontier vertex of the target.
+pub(crate) fn evaluate_hybrid_prepared<I: BlockIndex>(
     graph: &LabeledGraph,
-    index: &RlcIndex,
+    index: &I,
     source: VertexId,
     target: VertexId,
     blocks: &[Vec<Label>],
-    end_mr: Option<MrId>,
-    closure: Direction,
+    plan: HybridPlan,
 ) -> bool {
-    let Some(mr_id) = end_mr else {
+    let Some(mr) = plan.end_mr else {
         return false;
     };
-    match closure {
+    match plan.closure {
+        // The target's half of the lookup is resolved once, not once per
+        // frontier vertex.
         Direction::Forward => {
-            // Lin(target)'s run is resolved once, not once per frontier
-            // vertex.
-            let probe = index.target_probe(target, mr_id);
-            evaluate_blocks_with(graph, source, blocks, |v| probe.reached_from(v))
+            evaluate_blocks_with(graph, source, blocks, index.target_probe(target, mr))
         }
-        Direction::Backward => evaluate_blocks_toward(graph, target, blocks, closure, |w| {
-            index.query_mr(source, w, mr_id)
+        Direction::Backward => evaluate_blocks_toward(graph, target, blocks, plan.closure, |w| {
+            index.query_mr(source, w, mr)
         }),
     }
-}
-
-/// Grouped evaluation over pre-validated blocks, shared by every engine
-/// whose final block is answered by a pair lookup (the RLC index engines,
-/// ETC): the one grouped skeleton behind their `evaluate_prepared_group`
-/// overrides, parameterized over the lookup the way [`evaluate_blocks_with`]
-/// parameterizes the per-pair path.
-///
-/// `resolved` is the outcome of resolving the final block for the engine:
-/// an error makes every in-range pair report it (the constraint is invalid
-/// for the engine), `Ok(None)` means the block is absent from the engine's
-/// catalog (no path can satisfy the constraint — every in-range pair is
-/// `false`), and `Ok(Some(probe_for))` supplies the lookup in two stages:
-/// `probe_for(target)` resolves whatever depends on the target alone, and
-/// the predicate it returns answers one frontier vertex. Pairs are
-/// range-checked first, exactly like the per-pair paths, so an out-of-range
-/// pair reports `VertexOutOfRange` even when the constraint is also
-/// invalid. For multi-block constraints the prefix-block repetition closure
-/// is computed **once per distinct source** ([`prefix_frontier`]) and
-/// shared by every pair of the group with that source; single-block
-/// constraints are per-pair lookups in a plain loop, with no grouping.
-pub fn evaluate_blocks_grouped_with<F, P>(
-    graph: &LabeledGraph,
-    pairs: &[(VertexId, VertexId)],
-    blocks: &[Vec<Label>],
-    resolved: Result<Option<F>, crate::query::QueryError>,
-) -> Vec<Result<bool, crate::query::QueryError>>
-where
-    F: Fn(VertexId) -> P,
-    P: Fn(VertexId) -> bool,
-{
-    let probe_for = match resolved {
-        Ok(Some(probe_for)) => probe_for,
-        Ok(None) => {
-            return pairs
-                .iter()
-                .map(|p| in_range(graph, p).map(|()| false))
-                .collect()
-        }
-        Err(error) => {
-            return pairs
-                .iter()
-                .map(|p| in_range(graph, p).and(Err(error.clone())))
-                .collect()
-        }
-    };
-    if blocks.len() == 1 {
-        return pairs
-            .iter()
-            .map(|p| in_range(graph, p).map(|()| probe_for(p.1)(p.0)))
-            .collect();
-    }
-    evaluate_concat_grouped(graph, pairs, blocks, Direction::Forward, probe_for)
 }
 
 /// The grouped path of a concatenation (two or more blocks) in either
@@ -202,7 +153,7 @@ pub(crate) fn evaluate_concat_grouped<F, P>(
     blocks: &[Vec<Label>],
     closure: Direction,
     probe_for: F,
-) -> Vec<Result<bool, crate::query::QueryError>>
+) -> Vec<Result<bool, QueryError>>
 where
     F: Fn(VertexId) -> P,
     P: Fn(VertexId) -> bool,
@@ -212,7 +163,7 @@ where
         Direction::Forward => (s, t),
         Direction::Backward => (t, s),
     };
-    let mut answers: Vec<Result<bool, crate::query::QueryError>> = Vec::with_capacity(pairs.len());
+    let mut answers: Vec<Result<bool, QueryError>> = Vec::with_capacity(pairs.len());
     let mut by_anchor: std::collections::HashMap<VertexId, Vec<usize>> =
         std::collections::HashMap::new();
     for (i, pair) in pairs.iter().enumerate() {
@@ -234,10 +185,10 @@ where
 }
 
 /// Range-checks one pair against the graph, as the per-pair paths do.
-fn in_range(
+pub(crate) fn in_range(
     graph: &LabeledGraph,
     &(s, t): &(VertexId, VertexId),
-) -> Result<(), crate::query::QueryError> {
+) -> Result<(), QueryError> {
     crate::engine::check_vertex_range(s, t, graph.vertex_count())
 }
 
@@ -246,9 +197,8 @@ fn in_range(
 /// block's index (or closure) lookup has to be answered. Computed **once
 /// per source** by the grouped hybrid path, so same-source pairs of a
 /// constraint group share the online traversal instead of re-running it per
-/// pair. Public because the ETC engine's grouped path (`rlc-baselines`) and
-/// the sharded stitcher (`rlc-shard`) share the same once-per-source
-/// structure.
+/// pair. Public because the sharded stitcher (`rlc-shard`) shares the same
+/// once-per-source structure.
 pub fn prefix_frontier(
     graph: &LabeledGraph,
     source: VertexId,
@@ -286,7 +236,7 @@ pub(crate) fn frontier_toward(
 /// one or more repetitions of `block`, in ascending vertex order.
 ///
 /// This is the online half of hybrid evaluation, exposed so other engines
-/// (e.g. the ETC adapter in `rlc-baselines`) can reuse it for the prefix
+/// (e.g. the sharded stitcher in `rlc-shard`) can reuse it for the prefix
 /// blocks of a concatenated constraint. The visited and boundary sets are
 /// bit-parallel [`crate::kernel::FrontierSet`]s from the thread-local
 /// kernel-scratch pool, so batch evaluation allocates nothing per query
@@ -580,7 +530,11 @@ mod tests {
                     Direction::Backward => resolve(&blocks[0]),
                 };
                 let answer = |s, t, closure| {
-                    evaluate_hybrid_prepared(&g, index, s, t, &blocks, forced(closure), closure)
+                    let plan = HybridPlan {
+                        end_mr: forced(closure),
+                        closure,
+                    };
+                    evaluate_hybrid_prepared(&g, index, s, t, &blocks, plan)
                 };
                 let grouped = |closure| {
                     let Some(mr) = forced(closure) else {

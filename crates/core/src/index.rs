@@ -526,6 +526,7 @@ impl RlcIndex {
     /// Panics when a vertex id is outside the indexed range (like
     /// [`RlcIndex::lin`]/[`RlcIndex::lout`]); engines range-check ids before
     /// calling.
+    #[inline]
     pub fn query_mr(&self, s: VertexId, t: VertexId, mr: MrId) -> bool {
         self.query_interned(s, t, mr)
     }

@@ -225,7 +225,7 @@ impl FrontierSet {
 /// the hybrid evaluator closes a concatenation from whichever end is
 /// cheaper (`crate::hybrid`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Direction {
+pub enum Direction {
     /// Walks in-edges, from an edge's target to its source.
     Backward,
     /// Walks out-edges, from an edge's source to its target.

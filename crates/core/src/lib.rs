@@ -69,12 +69,10 @@ pub use build::{build_index, BuildConfig, BuildStats, KbsStrategy};
 pub use cache::{CacheStats, PlanCache, PlanCacheConfig, PrepareOutcome};
 pub use catalog::{MrCatalog, MrId};
 pub use engine::{
-    ArtifactTag, Generation, HybridEngine, IndexEngine, PlanIdentity, PrepareCounting, Prepared,
-    ReachabilityEngine,
+    ArtifactTag, BlockIndex, Generation, HybridEngine, IndexEngine, PlanIdentity, PrepareCounting,
+    Prepared, ReachabilityEngine,
 };
-pub use hybrid::{
-    evaluate_blocks_grouped_with, evaluate_blocks_with, prefix_frontier, repetition_closure,
-};
+pub use hybrid::{evaluate_blocks_with, prefix_frontier, repetition_closure};
 pub use index::{EntryRow, IndexEntry, IndexStats, RlcIndex, TargetProbe};
 pub use kernel::{kernel_name, FrontierSet};
 pub use order::{compute_order, OrderingStrategy, VertexOrder};

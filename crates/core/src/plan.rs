@@ -249,27 +249,24 @@ impl<'q> BatchPlan<'q> {
         // chunks in one parallel wave.
         let execute_span = rlc_obs::span!("rlc_plan_execute_seconds");
         let workers = crate::engine::batch_threads().max(1);
-        let mut chunks: Vec<(usize, usize, usize)> = Vec::new();
-        for (slot, group) in self.groups.iter().enumerate() {
-            if prepared[slot].is_err() {
+        // Each chunk carries the preparation it evaluates under.
+        let mut chunks: Vec<(usize, usize, usize, &Arc<Prepared>)> = Vec::new();
+        for (slot, (group, artifact)) in self.groups.iter().zip(&prepared).enumerate() {
+            let Ok(artifact) = artifact else {
                 continue;
-            }
+            };
             let len = group.pairs.len();
             let chunk_len = len.div_ceil(workers).max(1);
             let mut start = 0;
             while start < len {
                 let end = (start + chunk_len).min(len);
-                chunks.push((slot, start, end));
+                chunks.push((slot, start, end, artifact));
                 start = end;
             }
         }
         let chunk_answers: Vec<Vec<Result<bool, QueryError>>> = chunks
             .par_iter()
-            .map(|&(slot, start, end)| {
-                let artifact = prepared[slot]
-                    .as_ref()
-                    // rlc-analyze: allow(panic-free-library) — the chunk list is built in the loop above strictly from slots whose prepare succeeded
-                    .expect("chunks are only built for prepared groups");
+            .map(|&(slot, start, end, artifact)| {
                 engine.evaluate_prepared_group(&self.groups[slot].pairs[start..end], artifact)
             })
             .collect();
@@ -285,7 +282,7 @@ impl<'q> BatchPlan<'q> {
                 }
             }
         }
-        for (&(slot, start, end), results) in chunks.iter().zip(chunk_answers) {
+        for (&(slot, start, end, _), results) in chunks.iter().zip(chunk_answers) {
             // Hard contract, not a debug assert: a third-party engine whose
             // grouped override returns the wrong number of results must not
             // silently leave queries at the Ok(false) placeholder.

@@ -196,6 +196,7 @@ impl Constraint {
     /// Checks every block against an engine's recursive `k`, the one
     /// validation that cannot happen at construction because it depends on
     /// the evaluating engine.
+    #[inline]
     pub fn check_block_len(&self, k: usize) -> Result<(), QueryError> {
         for (i, block) in self.blocks.iter().enumerate() {
             if block.len() > k {

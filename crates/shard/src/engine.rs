@@ -158,10 +158,20 @@ impl<'g> ShardedEngine<'g> {
         self.index
     }
 
+    /// Validates `constraint` against the shared `k` (every shard is built
+    /// with the same k, enforced by [`ShardedIndex`]), then resolves its
+    /// final block against every shard's catalog.
+    fn last_mrs(&self, constraint: &Constraint) -> Result<Vec<Option<MrId>>, QueryError> {
+        constraint.check_block_len(self.index.k())?;
+        Ok((0..self.index.shard_count())
+            .map(|s| self.index.resolve_in_shard(s, constraint.last_block()))
+            .collect())
+    }
+
     /// Runs `with` over the per-shard resolutions of a preparation: the
     /// artifact's own table is borrowed in place when the tag matches (the
-    /// hot path allocates nothing), otherwise a fresh re-prepare supplies
-    /// it (re-running the `k` validation).
+    /// hot path allocates nothing), otherwise they are resolved afresh
+    /// (re-running the `k` validation).
     fn with_resolved<R>(
         &self,
         prepared: &Prepared,
@@ -169,15 +179,7 @@ impl<'g> ShardedEngine<'g> {
     ) -> Result<R, QueryError> {
         match prepared.artifact::<PreparedSharded>() {
             Some(artifact) if artifact.index == self.tag => Ok(with(&artifact.last_mrs)),
-            _ => {
-                let own = self.prepare(prepared.constraint())?;
-                Ok(with(
-                    &own.artifact::<PreparedSharded>()
-                        // rlc-analyze: allow(panic-free-library) — prepare() of this engine always attaches a PreparedSharded artifact; a None is a broken engine contract, not an input error
-                        .expect("ShardedEngine::prepare produces a PreparedSharded artifact")
-                        .last_mrs,
-                ))
-            }
+            _ => Ok(with(&self.last_mrs(prepared.constraint())?)),
         }
     }
 
@@ -452,8 +454,11 @@ impl<'g> ShardedEngine<'g> {
         last_mrs: &[Option<MrId>],
         mut counts: Option<&mut StitchCounts>,
     ) -> bool {
+        let Some((last_block, prefix)) = blocks.split_last() else {
+            return false;
+        };
         let mut frontier: Vec<VertexId> = vec![source];
-        for block in &blocks[..blocks.len() - 1] {
+        for block in prefix {
             let (closure, _) =
                 self.stitched_closure(&frontier, block, None, None, counts.as_deref_mut());
             if closure.is_empty() {
@@ -461,14 +466,8 @@ impl<'g> ShardedEngine<'g> {
             }
             frontier = closure;
         }
-        let (_, found) = self.stitched_closure(
-            &frontier,
-            // rlc-analyze: allow(panic-free-library) — every Constraint constructor rejects an empty block list, so last() is total here
-            blocks.last().expect("constraints have at least a block"),
-            Some(last_mrs),
-            Some(target),
-            counts,
-        );
+        let (_, found) =
+            self.stitched_closure(&frontier, last_block, Some(last_mrs), Some(target), counts);
         found
     }
 }
@@ -479,13 +478,7 @@ impl ReachabilityEngine for ShardedEngine<'_> {
     }
 
     fn prepare(&self, constraint: &Constraint) -> Result<Prepared, QueryError> {
-        // Blocks are validated once against the shared k (every shard is
-        // built with the same k, enforced by ShardedIndex), then the final
-        // block is resolved against every shard's catalog.
-        constraint.check_block_len(self.index.k())?;
-        let last_mrs: Vec<Option<MrId>> = (0..self.index.shard_count())
-            .map(|s| self.index.resolve_in_shard(s, constraint.last_block()))
-            .collect();
+        let last_mrs = self.last_mrs(constraint)?;
         let bytes = std::mem::size_of::<PreparedSharded>()
             + last_mrs.len() * std::mem::size_of::<Option<MrId>>();
         Ok(Prepared::new(
@@ -575,11 +568,8 @@ impl ReachabilityEngine for ShardedEngine<'_> {
         // One-shot fast path mirroring prepare-then-execute's validation
         // order (k check, then vertex range) without boxing a `Prepared`.
         let constraint = query.constraint();
-        constraint.check_block_len(self.index.k())?;
+        let last_mrs = self.last_mrs(constraint)?;
         check_vertex_range(query.source, query.target, self.graph.vertex_count())?;
-        let last_mrs: Vec<Option<MrId>> = (0..self.index.shard_count())
-            .map(|s| self.index.resolve_in_shard(s, constraint.last_block()))
-            .collect();
         Ok(self.evaluate_resolved(query.source, query.target, constraint.blocks(), &last_mrs))
     }
 
@@ -606,6 +596,9 @@ impl ReachabilityEngine for ShardedEngine<'_> {
             }
         }
         let blocks = prepared.constraint().blocks();
+        let Some((last_block, prefix)) = blocks.split_last() else {
+            return answers;
+        };
         let stitched = self.with_resolved(prepared, |last_mrs| {
             for (source, indices) in &by_source {
                 // Local fast path first: same-shard targets share one local
@@ -624,7 +617,7 @@ impl ReachabilityEngine for ShardedEngine<'_> {
                 // One stitched chain for the bucket's leftovers.
                 let mut frontier: Vec<VertexId> = vec![*source];
                 let mut dead = false;
-                for block in &blocks[..blocks.len() - 1] {
+                for block in prefix {
                     let (closure, _) = self.stitched_closure(&frontier, block, None, None, None);
                     if closure.is_empty() {
                         dead = true;
@@ -635,8 +628,6 @@ impl ReachabilityEngine for ShardedEngine<'_> {
                 if dead {
                     continue; // every unresolved target stays Ok(false)
                 }
-                // rlc-analyze: allow(panic-free-library) — every Constraint constructor rejects an empty block list, so last() is total here
-                let last_block = blocks.last().expect("constraints have at least a block");
                 if let [only] = unresolved[..] {
                     let (_, found) = self.stitched_closure(
                         &frontier,

@@ -88,9 +88,7 @@ pub mod prelude {
     pub use rlc_baselines::{
         BfsEngine, BiBfsEngine, DfsEngine, EtcBuildConfig, EtcEngine, EtcIndex,
     };
-    pub use rlc_core::engine::{
-        HybridEngine, IndexEngine, PrepareCounting, Prepared, ReachabilityEngine,
-    };
+    pub use rlc_core::engine::{IndexEngine, PrepareCounting, Prepared, ReachabilityEngine};
     pub use rlc_core::{
         build_index, kernel_name, BatchPlan, BuildConfig, Constraint, PlanCache, Query, QueryError,
         RlcIndex, RlcQuery,

@@ -70,7 +70,7 @@ fn hybrid_evaluation_agrees_with_automaton_baseline() {
     let spec = dataset_by_code("EP").unwrap();
     let graph = spec.generate(1.0 / 256.0, 17);
     let (index, _) = build_index(&graph, &BuildConfig::new(2));
-    let hybrid = HybridEngine::new(&graph, &index);
+    let engine = IndexEngine::new(&graph, &index);
     let oracle = BfsEngine::new(&graph);
     let labels: Vec<Label> = (0..graph.label_count().min(3))
         .map(Label::from_index)
@@ -85,7 +85,7 @@ fn hybrid_evaluation_agrees_with_automaton_baseline() {
             ] {
                 let q = Query::concat(s, t, blocks).unwrap();
                 assert_eq!(
-                    hybrid.evaluate(&q),
+                    engine.evaluate(&q),
                     oracle.evaluate(&q),
                     "hybrid disagrees on ({s},{t})"
                 );

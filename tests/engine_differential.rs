@@ -1,11 +1,12 @@
 //! Cross-engine differential test: every `ReachabilityEngine` implementation
-//! in the workspace — the RLC index, hybrid evaluation, the three online
-//! traversals, the extended transitive closure, the three simulated
-//! mainstream engines, and the sharded engine — must return identical
-//! answers over seeded Erdős–Rényi graphs, on plain RLC constraints, on
-//! concatenated constraints, and through every evaluation mode the
-//! redesigned API offers: one-shot `evaluate`, the prepare/execute split,
-//! the naive parallel batch path, and the constraint-grouping `BatchPlan`.
+//! in the workspace — the index engine over the RLC index and over the
+//! extended transitive closure, the three online traversals, the three
+//! simulated mainstream engines, and the sharded engine — must return
+//! identical answers over seeded Erdős–Rényi graphs, on plain RLC
+//! constraints, on concatenated constraints, and through every evaluation
+//! mode the redesigned API offers: one-shot `evaluate`, the prepare/execute
+//! split, the naive parallel batch path, and the constraint-grouping
+//! `BatchPlan`.
 //! Invalid queries must produce identical *errors* across the modes of each
 //! engine (error parity), and the planner must prepare each distinct
 //! constraint exactly once while returning answers in submission order.
@@ -36,7 +37,8 @@ fn lock_process_globals() -> MutexGuard<'static, ()> {
         .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Collects all ten evaluator implementations over one graph.
+/// Collects all nine evaluators over one graph. The test names that say ten
+/// count the RLC hybrid engine, which is now the RLC index engine itself.
 fn full_roster<'g>(
     graph: &'g LabeledGraph,
     index: &'g RlcIndex,
@@ -45,7 +47,6 @@ fn full_roster<'g>(
 ) -> Vec<Box<dyn ReachabilityEngine + 'g>> {
     let mut engines: Vec<Box<dyn ReachabilityEngine + 'g>> = vec![
         Box::new(IndexEngine::new(graph, index)),
-        Box::new(HybridEngine::new(graph, index)),
         Box::new(BfsEngine::new(graph)),
         Box::new(BiBfsEngine::new(graph)),
         Box::new(DfsEngine::new(graph)),
@@ -97,7 +98,7 @@ fn mixed_batch(graph: &LabeledGraph) -> Vec<Query> {
             1 => queries.push(Query::rlc(s, t, vec![l0, l1]).unwrap()),
             2 => queries.push(Query::concat(s, t, vec![vec![l0], vec![l1]]).unwrap()),
             3 => queries.push(Query::concat(s, t, vec![vec![l2], vec![l0, l1]]).unwrap()),
-            // Valid MR of length 3: errors on k = 2 index/hybrid/ETC
+            // Valid MR of length 3: errors on k = 2 RLC/ETC/sharded
             // engines, succeeds on the traversals — error parity across
             // evaluation modes is what matters.
             _ => queries.push(Query::rlc(s, t, vec![l0, l1, l2]).unwrap()),
@@ -123,11 +124,7 @@ fn all_ten_engines_agree_on_rlc_queries() {
         let etc = EtcIndex::build(&graph, &EtcBuildConfig::new(2));
         let sharded = build_sharded(&graph);
         let engines = full_roster(&graph, &index, &etc, &sharded);
-        assert_eq!(
-            engines.len(),
-            10,
-            "the differential roster must be complete"
-        );
+        assert_eq!(engines.len(), 9, "the differential roster must be complete");
 
         let queries = shared_queries(&graph, 2, 7);
         assert!(queries.len() > 100, "sample must be meaningful");
@@ -202,8 +199,8 @@ fn batch_answers_equal_single_answers_for_every_engine() {
 
 #[test]
 fn prepared_and_planned_evaluation_match_one_shot_for_every_engine() {
-    // The central differential of the prepare/execute redesign: for all ten
-    // engines, a mixed batch (shared constraints, repeated sources, and a
+    // The central differential of the prepare/execute redesign: for every
+    // engine, a mixed batch (shared constraints, repeated sources, and a
     // constraint invalid for the k-bounded engines) must produce identical
     // results — including identical errors — through all four evaluation
     // modes, on two graphs.
@@ -298,7 +295,7 @@ fn prepared_and_planned_match_one_shot(seed: u64) {
 
 #[test]
 fn cached_and_uncached_planned_batches_are_identical_for_every_engine() {
-    // The cross-batch face of the differential: for all ten engines, three
+    // The cross-batch face of the differential: for every engine, three
     // repeated executions of a mixed batch through one shared PlanCache
     // must return exactly the uncached answers — including identical errors
     // (the cache retains rejections too) — while preparing each distinct
@@ -482,8 +479,8 @@ fn ten_engine_differential_holds_with_tracing_enabled() {
     // the global metrics registry *enabled* — every span site live, stitch
     // counters flushing, phase histograms recording — the explained
     // evaluation paths (`BatchPlan::execute_explained`, per-query
-    // `explain_prepared`) must return exactly the plain results for all ten
-    // engines: same answers AND same errors, cached and uncached. And the
+    // `explain_prepared`) must return exactly the plain results for every
+    // engine: same answers AND same errors, cached and uncached. And the
     // traces must be real, not decorative: the batch trace carries one child
     // per query with the cache-hit flag, and the sharded engine's per-query
     // trace names its route.
@@ -493,11 +490,7 @@ fn ten_engine_differential_holds_with_tracing_enabled() {
     let etc = EtcIndex::build(&graph, &EtcBuildConfig::new(2));
     let sharded = build_sharded(&graph);
     let engines = full_roster(&graph, &index, &etc, &sharded);
-    assert_eq!(
-        engines.len(),
-        10,
-        "the differential roster must be complete"
-    );
+    assert_eq!(engines.len(), 9, "the differential roster must be complete");
 
     let queries = mixed_batch(&graph);
     let plan = BatchPlan::new(&queries);

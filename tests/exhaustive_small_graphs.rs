@@ -3,14 +3,15 @@
 //! Every labelled digraph on three vertices over the labels `{a, b}` without
 //! self loops (12 possible edges, 4 096 graphs) and every one on two
 //! vertices with self loops allowed (8 possible edges, 256 graphs) is
-//! indexed at `k = 2`. For every `(s, t)` and every constraint of one or two
-//! blocks over `{a, b, ab, ba}`, plus a seeded sample of three-block
-//! constraints, the `IndexEngine` answers — one-shot, prepared, and through
-//! a `BatchPlan` — must equal a brute-force state-set BFS written here. The
-//! reference shares no code with the crates: it walks the raw edge list
-//! this file enumerated.
+//! indexed at `k = 2`, by the RLC index and by the extended transitive
+//! closure. For every `(s, t)` and every constraint of one or two blocks
+//! over `{a, b, ab, ba}`, plus a seeded sample of three-block constraints,
+//! the answers of `IndexEngine` and `EtcEngine` — one-shot, prepared, and
+//! through a `BatchPlan` — must equal a brute-force state-set BFS written
+//! here. The reference shares no code with the crates: it walks the raw
+//! edge list this file enumerated.
 //!
-//! The engine closes a concatenation from whichever end is cheaper, and on
+//! Both engines close a concatenation from whichever end is cheaper, and on
 //! graphs this small the label counts tip that choice both ways, so both
 //! closure directions meet the oracle here.
 
@@ -76,7 +77,7 @@ fn oracle(n: usize, edges: &[(u32, u16, u32)], s: u32, t: u32, blocks: &[&[u16]]
 }
 
 /// Checks one graph against the oracle under every constraint of the
-/// protocol, through all three evaluation paths.
+/// protocol, through both index engines and all three evaluation paths.
 fn check_graph(n: usize, edges: &[(u32, u16, u32)], rng: &mut Rng) {
     let mut builder = GraphBuilder::with_capacity(n, 2);
     for &(s, l, t) in edges {
@@ -84,7 +85,11 @@ fn check_graph(n: usize, edges: &[(u32, u16, u32)], rng: &mut Rng) {
     }
     let graph = builder.build();
     let (index, _) = build_index(&graph, &BuildConfig::new(2));
-    let engine = IndexEngine::new(&graph, &index);
+    let etc = EtcIndex::build(&graph, &EtcBuildConfig::new(2));
+    let engines: [&dyn ReachabilityEngine; 2] = [
+        &IndexEngine::new(&graph, &index),
+        &EtcEngine::new(&graph, &etc),
+    ];
 
     let mut shapes: Vec<Vec<&[u16]>> = Vec::new();
     for &first in &BLOCKS {
@@ -97,22 +102,40 @@ fn check_graph(n: usize, edges: &[(u32, u16, u32)], rng: &mut Rng) {
         shapes.push((0..3).map(|_| BLOCKS[rng.below(BLOCKS.len())]).collect());
     }
 
+    // Every constraint of the protocol, with the oracle's answer for each
+    // `(s, t)` at `s * n + t`.
+    let cases: Vec<(Constraint, Vec<bool>)> = shapes
+        .iter()
+        .map(|shape| {
+            let blocks: Vec<Vec<Label>> = shape
+                .iter()
+                .map(|block| block.iter().map(|&l| Label(l)).collect())
+                .collect();
+            let truths = (0..n * n)
+                .map(|i| oracle(n, edges, (i / n) as u32, (i % n) as u32, shape))
+                .collect();
+            (Constraint::new(blocks).unwrap(), truths)
+        })
+        .collect();
     let mut queries = Vec::new();
     let mut expected = Vec::new();
-    for shape in &shapes {
-        let blocks: Vec<Vec<Label>> = shape
-            .iter()
-            .map(|block| block.iter().map(|&l| Label(l)).collect())
-            .collect();
-        let constraint = Constraint::new(blocks).unwrap();
-        let prepared = engine.prepare(&constraint).unwrap();
-        for s in 0..n as u32 {
-            for t in 0..n as u32 {
-                let truth = oracle(n, edges, s, t, shape);
-                let query = Query::new(s, t, constraint.clone());
-                let context = || format!("edges {edges:?}: ({s}, {t}) under {shape:?}");
+    for (constraint, truths) in &cases {
+        for (i, &truth) in truths.iter().enumerate() {
+            let (s, t) = ((i / n) as u32, (i % n) as u32);
+            queries.push(Query::new(s, t, constraint.clone()));
+            expected.push(Ok(truth));
+        }
+    }
+    for engine in engines {
+        let name = engine.name();
+        for (constraint, truths) in &cases {
+            let prepared = engine.prepare(constraint).unwrap();
+            for (i, &truth) in truths.iter().enumerate() {
+                let (s, t) = ((i / n) as u32, (i % n) as u32);
+                let context =
+                    || format!("{name}, edges {edges:?}: ({s}, {t}) under {constraint:?}");
                 assert_eq!(
-                    engine.evaluate(&query),
+                    engine.evaluate(&Query::new(s, t, constraint.clone())),
                     Ok(truth),
                     "one-shot, {}",
                     context()
@@ -123,16 +146,14 @@ fn check_graph(n: usize, edges: &[(u32, u16, u32)], rng: &mut Rng) {
                     "prepared, {}",
                     context()
                 );
-                queries.push(query);
-                expected.push(Ok(truth));
             }
         }
+        assert_eq!(
+            BatchPlan::new(&queries).execute(engine),
+            expected,
+            "batch plan, {name}, edges {edges:?}"
+        );
     }
-    assert_eq!(
-        BatchPlan::new(&queries).execute(&engine),
-        expected,
-        "batch plan, edges {edges:?}"
-    );
 }
 
 /// The graphs over `n` vertices whose edge sets are the subsets of `slots`
