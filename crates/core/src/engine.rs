@@ -284,18 +284,13 @@ pub enum PlanIdentity {
     Index(ArtifactTag),
 }
 
-/// Number of worker threads batch evaluation fans out to (rayon's thread
-/// count: `RAYON_NUM_THREADS` when set, available CPUs otherwise).
-pub fn batch_threads() -> usize {
-    rayon::current_num_threads()
-}
-
 /// Counts [`ReachabilityEngine::prepare`] calls on a wrapped engine.
 ///
 /// Used by the planner's unit tests and the engine differential to assert
 /// the one-prepare-per-distinct-constraint contract of
 /// [`crate::plan::BatchPlan`]. The
-/// counter is atomic because batch execution prepares from rayon workers.
+/// counter is atomic because the naive batch path
+/// ([`ReachabilityEngine::evaluate_batch`]) prepares from rayon workers.
 pub struct PrepareCounting<'e> {
     inner: &'e dyn ReachabilityEngine,
     prepares: AtomicUsize,

@@ -7,12 +7,15 @@
 //! resolution — for every single query. [`BatchPlan`] removes that waste:
 //!
 //! 1. the batch is grouped by [`Constraint`] (first-seen order, equal
-//!    constraints hash together);
+//!    constraints hash together) into one flat pair array, each group a
+//!    contiguous segment of it;
 //! 2. each group's constraint is prepared **exactly once** via
-//!    [`ReachabilityEngine::prepare`];
-//! 3. groups fan out across CPU cores with rayon, and inside a group the
-//!    engine's [`ReachabilityEngine::evaluate_prepared_group`] override can
-//!    answer all pairs sharing a source with one product-graph search;
+//!    [`ReachabilityEngine::prepare`], inline on the calling thread;
+//! 3. the flat array is cut into one contiguous range per rayon worker and
+//!    the ranges fan out once; a range hands each group segment it covers to
+//!    the engine's [`ReachabilityEngine::evaluate_prepared_group`], whose
+//!    traversal overrides answer all pairs sharing a source with one
+//!    product-graph search;
 //! 4. answers are scattered back in submission order.
 
 use crate::cache::{PlanCache, PrepareOutcome};
@@ -25,13 +28,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One group of the plan: every query of the batch sharing `constraint`.
+/// One group of the plan: every query of the batch sharing `constraint`,
+/// stored at `start..end` of the plan's flat arrays.
 struct PlanGroup<'q> {
     constraint: &'q Constraint,
-    /// Positions of the group's queries in the submitted batch.
-    indices: Vec<usize>,
-    /// The `(source, target)` pairs, parallel to `indices`.
-    pairs: Vec<(VertexId, VertexId)>,
+    start: usize,
+    end: usize,
 }
 
 /// An execution plan for a mixed query batch: queries grouped by constraint
@@ -56,41 +58,77 @@ struct PlanGroup<'q> {
 /// assert_eq!(answers.len(), 3); // submission order
 /// ```
 pub struct BatchPlan<'q> {
-    query_count: usize,
     groups: Vec<PlanGroup<'q>>,
+    /// Every query's `(source, target)` in plan order: groups in first-seen
+    /// order, sources ascending within a group, and submission order among
+    /// equal sources. Pairs sharing a source stay contiguous when a range
+    /// cut splits a group, so the traversal engines' multi-target search
+    /// still sees whole source runs.
+    pairs: Vec<(VertexId, VertexId)>,
+    /// The submission index of each entry of `pairs`.
+    positions: Vec<u32>,
 }
 
 impl<'q> BatchPlan<'q> {
     /// Plans a batch: groups queries by constraint, preserving first-seen
     /// group order and remembering each query's submission position.
+    ///
+    /// # Panics
+    ///
+    /// If the batch holds more than `u32::MAX` queries: positions are
+    /// stored as `u32`.
     pub fn new(queries: &'q [Query]) -> Self {
+        assert!(
+            u32::try_from(queries.len()).is_ok(),
+            "a batch holds at most u32::MAX queries"
+        );
+        // Pass 1: a group slot per query, first-seen order; `end` counts.
         let mut lookup: HashMap<&'q Constraint, usize> = HashMap::new();
         let mut groups: Vec<PlanGroup<'q>> = Vec::new();
-        for (i, query) in queries.iter().enumerate() {
-            let slot = *lookup.entry(query.constraint()).or_insert_with(|| {
+        let mut slots: Vec<usize> = Vec::with_capacity(queries.len());
+        for query in queries {
+            let fresh = groups.len();
+            let slot = *lookup.entry(query.constraint()).or_insert(fresh);
+            if slot == fresh {
                 groups.push(PlanGroup {
                     constraint: query.constraint(),
-                    indices: Vec::new(),
-                    pairs: Vec::new(),
+                    start: 0,
+                    end: 0,
                 });
-                groups.len() - 1
-            });
-            groups[slot].indices.push(i);
-            groups[slot].pairs.push((query.source, query.target));
+            }
+            groups[slot].end += 1;
+            slots.push(slot);
         }
-        // Sort each group's pairs by source (stably, carrying the submission
-        // positions along) so pairs sharing a source stay contiguous when
-        // `execute` chunks a large group across workers — the traversal
-        // engines' multi-target search then still sees whole source runs.
+        // Counting sort into flat segments: `end` becomes the fill cursor.
+        let mut offset = 0;
         for group in &mut groups {
-            let mut order: Vec<usize> = (0..group.pairs.len()).collect();
-            order.sort_by_key(|&i| group.pairs[i].0);
-            group.indices = order.iter().map(|&i| group.indices[i]).collect();
-            group.pairs = order.iter().map(|&i| group.pairs[i]).collect();
+            let size = group.end;
+            group.start = offset;
+            group.end = offset;
+            offset += size;
         }
+        let mut keys = vec![0u64; queries.len()];
+        for (position, (query, &slot)) in queries.iter().zip(&slots).enumerate() {
+            let group = &mut groups[slot];
+            keys[group.end] = (u64::from(query.source) << 32) | position as u64;
+            group.end += 1;
+        }
+        // One key orders a segment by source, then by submission position.
+        for group in &groups {
+            keys[group.start..group.end].sort_unstable();
+        }
+        let positions: Vec<u32> = keys.iter().map(|&key| key as u32).collect();
+        let pairs = positions
+            .iter()
+            .map(|&position| {
+                let query = &queries[position as usize];
+                (query.source, query.target)
+            })
+            .collect();
         BatchPlan {
-            query_count: queries.len(),
             groups,
+            pairs,
+            positions,
         }
     }
 
@@ -103,23 +141,27 @@ impl<'q> BatchPlan<'q> {
 
     /// Number of queries in the planned batch.
     pub fn query_count(&self) -> usize {
-        self.query_count
+        self.pairs.len()
     }
 
     /// Sizes of the constraint groups, in first-seen order.
     pub fn group_sizes(&self) -> Vec<usize> {
-        self.groups.iter().map(|g| g.pairs.len()).collect()
+        self.groups.iter().map(|g| g.end - g.start).collect()
     }
 
     /// Executes the plan on `engine`: prepares each group's constraint once,
     /// fans the evaluation out across rayon workers, and returns the answers
     /// in submission order.
     ///
-    /// Parallelism is two-level: the prepares run one-per-group in parallel,
-    /// and every group is then split into at most `worker_count` chunks that
-    /// all fan out together — a skewed batch dominated by one constraint
-    /// still keeps every core busy instead of collapsing to one worker per
-    /// group. Chunking respects the source-sorted pair order established by
+    /// The prepares run inline, then parallelism is one flat fan-out: the
+    /// plan's pair array is cut into one equal contiguous range per worker
+    /// ([`rayon::workers_for`]: the thread count, at most one per query),
+    /// regardless of group boundaries, so a skewed batch dominated by one
+    /// constraint still keeps every core busy. The calling thread evaluates
+    /// the last range itself, and a batch of one query, or one worker, runs
+    /// entirely on the calling thread. A range evaluates each group segment
+    /// it covers with one [`ReachabilityEngine::evaluate_prepared_group`]
+    /// call. The cuts keep the source-sorted order established by
     /// [`BatchPlan::new`], so the traversal engines' same-source sharing
     /// survives the split.
     ///
@@ -127,9 +169,11 @@ impl<'q> BatchPlan<'q> {
     /// recursive `k`) yields that error for every query of its group; the
     /// other groups still evaluate.
     pub fn execute(&self, engine: &dyn ReachabilityEngine) -> Vec<Result<bool, QueryError>> {
-        self.execute_with(engine, |constraint| {
-            engine.prepare(constraint).map(Arc::new)
-        })
+        self.execute_with(
+            engine,
+            |constraint| engine.prepare(constraint).map(Arc::new),
+            rayon::workers_for(self.query_count()),
+        )
     }
 
     /// Executes the plan with preparations drawn from (and inserted into) a
@@ -144,7 +188,11 @@ impl<'q> BatchPlan<'q> {
         engine: &dyn ReachabilityEngine,
         cache: &PlanCache,
     ) -> Vec<Result<bool, QueryError>> {
-        self.execute_with(engine, |constraint| cache.prepare(engine, constraint))
+        self.execute_with(
+            engine,
+            |constraint| cache.prepare(engine, constraint),
+            rayon::workers_for(self.query_count()),
+        )
     }
 
     /// Executes the plan **and explains it**: returns the submission-order
@@ -167,7 +215,7 @@ impl<'q> BatchPlan<'q> {
     ) -> (Vec<Result<bool, QueryError>>, TraceNode) {
         let mut root = TraceNode::new("batch");
         root.attr("engine", engine.name())
-            .attr("queries", self.query_count)
+            .attr("queries", self.query_count())
             .attr("groups", self.groups.len());
 
         // Phase 1: prepare each group once, through the cache when given.
@@ -188,11 +236,12 @@ impl<'q> BatchPlan<'q> {
 
         // Phase 2: sequential per-query explained evaluation.
         let execute_started = Instant::now();
-        let mut answers: Vec<Result<bool, QueryError>> = vec![Ok(false); self.query_count];
-        let mut children: Vec<(usize, TraceNode)> = Vec::with_capacity(self.query_count);
-        for (slot, group) in self.groups.iter().enumerate() {
-            let (plan, outcome) = &prepared[slot];
-            for (&index, &(source, target)) in group.indices.iter().zip(&group.pairs) {
+        let mut answers: Vec<Result<bool, QueryError>> = vec![Ok(false); self.query_count()];
+        let mut children: Vec<(usize, TraceNode)> = Vec::with_capacity(self.query_count());
+        for (slot, (group, (plan, outcome))) in self.groups.iter().zip(&prepared).enumerate() {
+            for at in group.start..group.end {
+                let index = self.positions[at] as usize;
+                let (source, target) = self.pairs[at];
                 let (answer, mut node) = match plan {
                     Ok(artifact) => engine.explain_prepared(source, target, artifact),
                     Err(error) => {
@@ -206,7 +255,7 @@ impl<'q> BatchPlan<'q> {
                 };
                 node.attr("batch_index", index)
                     .attr("group", slot)
-                    .attr("group_size", group.pairs.len());
+                    .attr("group_size", group.end - group.start);
                 if let Some(outcome) = outcome {
                     node.attr("cache_hit", outcome.hit)
                         .attr("cache_coalesced", outcome.coalesced)
@@ -230,73 +279,79 @@ impl<'q> BatchPlan<'q> {
         (answers, root)
     }
 
-    /// Shared execute skeleton over a pluggable preparation source.
+    /// Shared execute skeleton over a pluggable preparation source, cutting
+    /// the plan into at most `workers` ranges.
     fn execute_with(
         &self,
         engine: &dyn ReachabilityEngine,
-        prepare: impl Fn(&Constraint) -> Result<Arc<Prepared>, QueryError> + Sync,
+        prepare: impl Fn(&Constraint) -> Result<Arc<Prepared>, QueryError>,
+        workers: usize,
     ) -> Vec<Result<bool, QueryError>> {
-        // Phase 1: one prepare per distinct constraint.
+        // Phase 1: one prepare per distinct constraint, inline.
         let prepared: Vec<Result<Arc<Prepared>, QueryError>> = {
             let _span = rlc_obs::span!("rlc_plan_prepare_seconds");
             self.groups
-                .par_iter()
+                .iter()
                 .map(|group| prepare(group.constraint))
                 .collect()
         };
 
-        // Phase 2: chunk every successfully prepared group and evaluate all
-        // chunks in one parallel wave.
+        // Phase 2: equal contiguous ranges of the flat array, one fan-out.
         let execute_span = rlc_obs::span!("rlc_plan_execute_seconds");
-        let workers = crate::engine::batch_threads().max(1);
-        // Each chunk carries the preparation it evaluates under.
-        let mut chunks: Vec<(usize, usize, usize, &Arc<Prepared>)> = Vec::new();
-        for (slot, (group, artifact)) in self.groups.iter().zip(&prepared).enumerate() {
-            let Ok(artifact) = artifact else {
-                continue;
-            };
-            let len = group.pairs.len();
-            let chunk_len = len.div_ceil(workers).max(1);
-            let mut start = 0;
-            while start < len {
-                let end = (start + chunk_len).min(len);
-                chunks.push((slot, start, end, artifact));
-                start = end;
+        let n = self.pairs.len();
+        let ranges = workers.max(1).min(n);
+        let cuts: Vec<(usize, usize)> = (0..ranges)
+            .map(|i| (cut(n, ranges, i), cut(n, ranges, i + 1)))
+            .collect();
+        let evaluate_range = |&(start, end): &(usize, usize)| {
+            let mut out: Vec<Result<bool, QueryError>> = Vec::with_capacity(end - start);
+            let mut slot = self.groups.partition_point(|group| group.end <= start);
+            let mut at = start;
+            while at < end {
+                let stop = self.groups[slot].end.min(end);
+                let pairs = &self.pairs[at..stop];
+                match &prepared[slot] {
+                    Ok(artifact) => {
+                        let results = engine.evaluate_prepared_group(pairs, artifact);
+                        // Hard contract, not a debug assert: a third-party
+                        // engine whose grouped override returns the wrong
+                        // number of results must not shift every later
+                        // answer onto another query.
+                        assert_eq!(
+                            pairs.len(),
+                            results.len(),
+                            "evaluate_prepared_group must return one result per pair"
+                        );
+                        out.extend(results);
+                    }
+                    Err(error) => out.extend(pairs.iter().map(|_| Err(error.clone()))),
+                }
+                at = stop;
+                slot += 1;
             }
-        }
-        let chunk_answers: Vec<Vec<Result<bool, QueryError>>> = chunks
+            out
+        };
+        let ranged: Vec<Vec<Result<bool, QueryError>>> = cuts
             .par_iter()
-            .map(|&(slot, start, end, artifact)| {
-                engine.evaluate_prepared_group(&self.groups[slot].pairs[start..end], artifact)
-            })
+            .with_max_len(1)
+            .map(evaluate_range)
             .collect();
         drop(execute_span);
 
-        // Scatter back in submission order.
+        // Phase 3: scatter back in submission order.
         let _span = rlc_obs::span!("rlc_plan_scatter_seconds");
-        let mut answers: Vec<Result<bool, QueryError>> = vec![Ok(false); self.query_count];
-        for (slot, group) in self.groups.iter().enumerate() {
-            if let Err(error) = &prepared[slot] {
-                for &index in &group.indices {
-                    answers[index] = Err(error.clone());
-                }
-            }
-        }
-        for (&(slot, start, end, _), results) in chunks.iter().zip(chunk_answers) {
-            // Hard contract, not a debug assert: a third-party engine whose
-            // grouped override returns the wrong number of results must not
-            // silently leave queries at the Ok(false) placeholder.
-            assert_eq!(
-                end - start,
-                results.len(),
-                "evaluate_prepared_group must return one result per pair"
-            );
-            for (&index, result) in self.groups[slot].indices[start..end].iter().zip(results) {
-                answers[index] = result;
-            }
+        let mut answers: Vec<Result<bool, QueryError>> = vec![Ok(false); n];
+        for (&position, answer) in self.positions.iter().zip(ranged.into_iter().flatten()) {
+            answers[position as usize] = answer;
         }
         answers
     }
+}
+
+/// The `i`-th of the `ranges + 1` cut points that split `0..n` into
+/// `ranges` equal contiguous ranges (sizes differ by at most one).
+fn cut(n: usize, ranges: usize, i: usize) -> usize {
+    i * n / ranges
 }
 
 #[cfg(test)]
@@ -378,9 +433,9 @@ mod tests {
 
     #[test]
     fn single_constraint_batch_still_prepares_once_and_orders_answers() {
-        // A batch dominated by one constraint is split into chunks inside
+        // A batch dominated by one constraint is cut into ranges inside
         // the group (so multi-core hosts keep every worker busy), but the
-        // chunking must not change the one-prepare contract or the
+        // cuts must not change the one-prepare contract or the
         // submission-order scatter.
         let graph = fig2_graph();
         let (index, _) = build_index(&graph, &BuildConfig::new(2));
@@ -425,5 +480,170 @@ mod tests {
         let plan = BatchPlan::new(&queries);
         assert_eq!(plan.group_count(), 0);
         assert!(plan.execute(&engine).is_empty());
+    }
+
+    /// Four groups, interleaved in submission order, whose flat segments are
+    /// `0..3` (one block), `3..53` (one block, large), `53..63` (rejected:
+    /// a block longer than `k = 2`) and `63..70` (a concatenation that
+    /// closes backward on `fig2_graph`).
+    fn range_cut_batch() -> Vec<Query> {
+        let l1 = vec![Label(0)];
+        let l2 = vec![Label(1)];
+        let groups: Vec<Vec<Query>> = vec![
+            (0..3u32)
+                .map(|i| Query::rlc(5 - i, i, l1.clone()).unwrap())
+                .collect(),
+            (0..50u32)
+                .map(|i| Query::rlc((i * 5) % 6, (i * 7 + 1) % 6, l2.clone()).unwrap())
+                .collect(),
+            (0..10u32)
+                .map(|i| {
+                    Query::rlc(i % 6, (i + 2) % 6, vec![Label(0), Label(1), Label(2)]).unwrap()
+                })
+                .collect(),
+            (0..7u32)
+                .map(|i| {
+                    Query::concat((i * 4) % 6, (i * 5 + 3) % 6, vec![l1.clone(), l2.clone()])
+                        .unwrap()
+                })
+                .collect(),
+        ];
+        let mut queries = Vec::new();
+        for round in 0..50 {
+            queries.extend(groups.iter().filter_map(|group| group.get(round).cloned()));
+        }
+        queries
+    }
+
+    #[test]
+    fn range_cuts_across_groups_match_the_one_shot_loop() {
+        let graph = fig2_graph();
+        let (index, _) = build_index(&graph, &BuildConfig::new(2));
+        let engine = IndexEngine::new(&graph, &index);
+        let queries = range_cut_batch();
+        let plan = BatchPlan::new(&queries);
+        let n = plan.query_count();
+        let segments: Vec<(usize, usize)> = plan.groups.iter().map(|g| (g.start, g.end)).collect();
+        assert_eq!(segments, vec![(0, 3), (3, 53), (53, 63), (63, 70)]);
+
+        // The premises: the large group straddles every cut at 2 and 3
+        // workers and five of the six at 7, where the rejected group
+        // straddles the sixth; the concatenation closes backward.
+        let cuts = |ranges: usize| (1..ranges).map(move |i| cut(n, ranges, i));
+        let inside = |slot: usize, at: usize| segments[slot].0 < at && at < segments[slot].1;
+        assert!(cuts(2).chain(cuts(3)).all(|at| inside(1, at)));
+        assert_eq!(cuts(7).filter(|&at| inside(1, at)).count(), 5);
+        assert_eq!(cuts(7).filter(|&at| inside(2, at)).count(), 1);
+        assert_eq!(
+            crate::hybrid::closure_direction(&graph, plan.groups[3].constraint.blocks()),
+            crate::kernel::Direction::Backward
+        );
+
+        let one_shot: Vec<_> = queries.iter().map(|q| engine.evaluate(q)).collect();
+        assert!(one_shot
+            .iter()
+            .any(|a| matches!(a, Err(QueryError::BlockTooLong { .. }))));
+        for workers in [1, 2, 3, 7] {
+            let counting = PrepareCounting::new(&engine);
+            let planned = plan.execute_with(
+                &counting,
+                |constraint| counting.prepare(constraint).map(Arc::new),
+                workers,
+            );
+            assert_eq!(planned, one_shot, "{workers} workers");
+            assert_eq!(
+                counting.prepare_count(),
+                plan.group_count(),
+                "{workers} workers"
+            );
+        }
+    }
+
+    /// Forwards to an engine but returns one result too few for any group
+    /// segment without source 5.
+    struct ShortGroups<'e>(&'e dyn ReachabilityEngine);
+
+    impl ReachabilityEngine for ShortGroups<'_> {
+        fn name(&self) -> &str {
+            "short-groups"
+        }
+
+        fn prepare(&self, constraint: &Constraint) -> Result<Prepared, QueryError> {
+            self.0.prepare(constraint)
+        }
+
+        fn evaluate_prepared(
+            &self,
+            source: VertexId,
+            target: VertexId,
+            prepared: &Prepared,
+        ) -> Result<bool, QueryError> {
+            self.0.evaluate_prepared(source, target, prepared)
+        }
+
+        fn evaluate_prepared_group(
+            &self,
+            pairs: &[(VertexId, VertexId)],
+            prepared: &Prepared,
+        ) -> Vec<Result<bool, QueryError>> {
+            let mut results = self.0.evaluate_prepared_group(pairs, prepared);
+            if pairs.iter().all(|&(source, _)| source != 5) {
+                results.pop();
+            }
+            results
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "evaluate_prepared_group must return one result per pair")]
+    fn a_short_grouped_result_panics_inside_the_worker() {
+        let graph = fig2_graph();
+        let (index, _) = build_index(&graph, &BuildConfig::new(2));
+        let engine = IndexEngine::new(&graph, &index);
+        let short = ShortGroups(&engine);
+        // One group; the first of two ranges (sources 0-2) comes back short
+        // and runs on a spawned worker whenever rayon has two threads.
+        let queries: Vec<Query> = [0, 5, 0, 5, 1, 5, 1, 5, 2, 5]
+            .iter()
+            .map(|&s| Query::rlc(s, 1, vec![Label(1)]).unwrap())
+            .collect();
+        let plan = BatchPlan::new(&queries);
+        let _ = plan.execute_with(&short, |c| short.prepare(c).map(Arc::new), 2);
+    }
+
+    #[test]
+    fn plan_order_is_sources_ascending_then_submission_order() {
+        let a = vec![Label(0)];
+        let b = vec![Label(1)];
+        let queries: Vec<Query> = [
+            (3, 0, &a),
+            (1, 2, &b),
+            (3, 1, &a),
+            (0, 4, &a),
+            (1, 5, &b),
+            (3, 2, &a),
+            (0, 0, &b),
+            (u32::MAX, 0, &a),
+        ]
+        .iter()
+        .map(|&(s, t, block)| Query::rlc(s, t, block.clone()).unwrap())
+        .collect();
+        let plan = BatchPlan::new(&queries);
+        let segments: Vec<(usize, usize)> = plan.groups.iter().map(|g| (g.start, g.end)).collect();
+        assert_eq!(segments, vec![(0, 5), (5, 8)]);
+        assert_eq!(plan.positions, vec![3, 0, 2, 5, 7, 6, 1, 4]);
+        assert_eq!(
+            plan.pairs,
+            vec![
+                (0, 4),
+                (3, 0),
+                (3, 1),
+                (3, 2),
+                (u32::MAX, 0),
+                (0, 0),
+                (1, 2),
+                (1, 5)
+            ]
+        );
     }
 }

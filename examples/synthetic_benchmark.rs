@@ -75,10 +75,9 @@ fn main() {
         let answers: Vec<bool> = answers.into_iter().map(|a| a.unwrap()).collect();
         assert_eq!(answers, expected);
         println!(
-            "{:<10}: {elapsed:.2?} for {} queries (batch, {} threads)",
+            "{:<10}: {elapsed:.2?} for {} queries (rayon batch)",
             engine.name(),
-            queries.len(),
-            rlc::index::engine::batch_threads()
+            queries.len()
         );
     }
 

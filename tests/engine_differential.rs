@@ -37,8 +37,7 @@ fn lock_process_globals() -> MutexGuard<'static, ()> {
         .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Collects all nine evaluators over one graph. The test names that say ten
-/// count the RLC hybrid engine, which is now the RLC index engine itself.
+/// Collects all nine evaluators over one graph.
 fn full_roster<'g>(
     graph: &'g LabeledGraph,
     index: &'g RlcIndex,
@@ -117,7 +116,7 @@ fn mixed_batch(graph: &LabeledGraph) -> Vec<Query> {
 }
 
 #[test]
-fn all_ten_engines_agree_on_rlc_queries() {
+fn all_nine_engines_agree_on_rlc_queries() {
     for seed in [3u64, 17, 42] {
         let graph = erdos_renyi(&SyntheticConfig::new(90, 3.0, 3, seed));
         let (index, _) = build_index(&graph, &BuildConfig::new(2));
@@ -145,7 +144,7 @@ fn all_ten_engines_agree_on_rlc_queries() {
 }
 
 #[test]
-fn all_ten_engines_agree_on_concatenated_queries() {
+fn all_nine_engines_agree_on_concatenated_queries() {
     let graph = erdos_renyi(&SyntheticConfig::new(70, 3.0, 3, 99));
     let (index, _) = build_index(&graph, &BuildConfig::new(2));
     let etc = EtcIndex::build(&graph, &EtcBuildConfig::new(2));
@@ -474,7 +473,7 @@ fn sharded_engines_match_unsharded_answers_and_errors() {
 }
 
 #[test]
-fn ten_engine_differential_holds_with_tracing_enabled() {
+fn engine_differential_holds_with_tracing_enabled() {
     // The PR 10 differential: observation must never change answers. With
     // the global metrics registry *enabled* — every span site live, stitch
     // counters flushing, phase histograms recording — the explained
