@@ -111,19 +111,6 @@ pub struct CacheStats {
     pub bytes: usize,
 }
 
-/// How one [`PlanCache::prepare_outcome`] call was resolved — the per-call
-/// view the EXPLAIN path attaches to its trace, where [`CacheStats`] is the
-/// process-lifetime aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PrepareOutcome {
-    /// The plan was served from a resident entry.
-    pub hit: bool,
-    /// The miss waited on another worker's in-flight compilation.
-    pub coalesced: bool,
-    /// A resident entry with a mismatched identity was dropped on the way.
-    pub stale_drop: bool,
-}
-
 /// Cache key: the engine kind bucketing interchangeable instances together,
 /// plus the constraint the plan was compiled from.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -316,46 +303,39 @@ impl PlanCache {
     /// treated as a miss. Concurrent misses on the same key and identity
     /// coalesce onto one in-flight compilation (see the module docs), so the
     /// engine's `prepare` runs exactly once per first touch.
+    ///
+    /// When the global observability registry is enabled the call's latency
+    /// is recorded into the `rlc_plan_cache_hit_seconds` /
+    /// `rlc_plan_cache_miss_seconds` histograms — the hit/miss latency split
+    /// that makes cache efficacy visible as a distribution rather than a
+    /// ratio.
     pub fn prepare(
         &self,
         engine: &dyn ReachabilityEngine,
         constraint: &Constraint,
     ) -> Result<Arc<Prepared>, QueryError> {
-        self.prepare_outcome(engine, constraint).0
-    }
-
-    /// [`PlanCache::prepare`], additionally reporting how this particular
-    /// call was resolved. When the global observability registry is enabled
-    /// the call's latency is recorded into the `rlc_plan_cache_hit_seconds`
-    /// / `rlc_plan_cache_miss_seconds` histograms — the hit/miss latency
-    /// split that makes cache efficacy visible as a distribution rather
-    /// than a ratio.
-    pub fn prepare_outcome(
-        &self,
-        engine: &dyn ReachabilityEngine,
-        constraint: &Constraint,
-    ) -> (Result<Arc<Prepared>, QueryError>, PrepareOutcome) {
         let timed = rlc_obs::global_enabled().then(std::time::Instant::now);
-        let (plan, outcome) = self.prepare_inner(engine, constraint);
+        let (plan, hit) = self.prepare_inner(engine, constraint);
         if let Some(started) = timed {
             static HIT_SITE: OnceLock<Arc<rlc_obs::Histogram>> = OnceLock::new();
             static MISS_SITE: OnceLock<Arc<rlc_obs::Histogram>> = OnceLock::new();
-            let hist = if outcome.hit {
+            let hist = if hit {
                 HIT_SITE.get_or_init(|| rlc_obs::global().histogram("rlc_plan_cache_hit_seconds"))
             } else {
                 MISS_SITE.get_or_init(|| rlc_obs::global().histogram("rlc_plan_cache_miss_seconds"))
             };
             hist.record_duration(started.elapsed());
         }
-        (plan, outcome)
+        plan
     }
 
+    /// The cache lookup behind [`PlanCache::prepare`]; the flag says whether
+    /// the plan was served from a resident entry.
     fn prepare_inner(
         &self,
         engine: &dyn ReachabilityEngine,
         constraint: &Constraint,
-    ) -> (Result<Arc<Prepared>, QueryError>, PrepareOutcome) {
-        let mut outcome = PrepareOutcome::default();
+    ) -> (Result<Arc<Prepared>, QueryError>, bool) {
         let identity = engine.plan_identity();
         let key = CacheKey {
             kind: engine.name().to_owned(),
@@ -373,8 +353,7 @@ impl PlanCache {
                 if entry.identity == identity {
                     entry.last_used = bump(&self.tick);
                     bump(&self.hits);
-                    outcome.hit = true;
-                    return (entry.plan.clone(), outcome);
+                    return (entry.plan.clone(), true);
                 }
                 // Generation mismatch: this plan was resolved against an
                 // index that no longer exists (or a different instance of
@@ -385,7 +364,6 @@ impl PlanCache {
                     gauge_sub(&self.resident_bytes, stale.bytes as u64);
                 }
                 bump(&self.stale_drops);
-                outcome.stale_drop = true;
             }
             let latch_key = LatchKey {
                 key: key.clone(),
@@ -407,8 +385,7 @@ impl PlanCache {
             .clone();
         if !compiled {
             bump(&self.coalesced);
-            outcome.coalesced = true;
-            return (plan, outcome);
+            return (plan, false);
         }
 
         // The compiling worker publishes the entry and retires its latch.
@@ -437,7 +414,7 @@ impl PlanCache {
         // `latch` and waiters after it hit the map entry published above.
         guard.in_flight.remove(&LatchKey { key, identity });
         self.evict_over_budget(&mut guard);
-        (plan, outcome)
+        (plan, false)
     }
 
     /// Evicts least-recently-used entries until the shard is within both
@@ -489,7 +466,7 @@ impl PlanCache {
     /// The residency gauges are mirrors maintained under the shard locks at
     /// each insert/remove, so concurrent snapshots are at worst one in-flight
     /// mutation out of date, never drifted.
-    pub fn counters(&self) -> CacheStats {
+    pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: read_counter(&self.hits),
             misses: read_counter(&self.misses),
@@ -499,13 +476,6 @@ impl PlanCache {
             entries: read_counter(&self.resident_entries) as usize,
             bytes: read_counter(&self.resident_bytes) as usize,
         }
-    }
-
-    /// Snapshot of the hit/miss/eviction counters and resident footprint.
-    /// Since the residency gauges became lock-free mirrors this is the same
-    /// snapshot as [`PlanCache::counters`]; kept as the established name.
-    pub fn stats(&self) -> CacheStats {
-        self.counters()
     }
 
     fn shard_of(&self, key: &CacheKey) -> usize {
@@ -782,14 +752,13 @@ mod tests {
 
     #[test]
     fn lock_free_counters_track_every_mutation_path() {
-        // `counters()` reads only atomics; `len()` walks the shard locks.
+        // `stats()` reads only atomics; `len()` walks the shard locks.
         // Drive the cache through every residency mutation — insert,
         // replace-by-identity, LRU eviction, stale drop, clear — and the
         // gauge mirrors must agree with the locked ground truth at each step.
         let graph = fig2_graph();
         let check = |cache: &PlanCache| {
-            let c = cache.counters();
-            assert_eq!(c, cache.stats(), "stats() and counters() are one snapshot");
+            let c = cache.stats();
             assert_eq!(c.entries, cache.len(), "entry gauge mirrors the shards");
         };
         let cache = one_shard(2, usize::MAX);
@@ -801,17 +770,17 @@ mod tests {
                 check(&cache); // inserts, then LRU evictions past entry 2
             }
         }
-        assert!(cache.counters().evictions >= 2);
+        assert!(cache.stats().evictions >= 2);
         drop(index_a);
         let (index_b, _) = build_index(&graph, &BuildConfig::new(2));
         let engine = IndexEngine::new(&graph, &index_b);
         cache.prepare(&engine, &constraint(&[3])).unwrap();
         check(&cache); // stale drop + re-insert under the new generation
-        assert_eq!(cache.counters().stale_drops, 1);
+        assert_eq!(cache.stats().stale_drops, 1);
         cache.clear();
         check(&cache);
-        assert_eq!(cache.counters().entries, 0);
-        assert_eq!(cache.counters().bytes, 0);
+        assert_eq!(cache.stats().entries, 0);
+        assert_eq!(cache.stats().bytes, 0);
     }
 
     #[test]

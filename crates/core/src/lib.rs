@@ -66,7 +66,7 @@ pub mod repeats;
 pub mod verify;
 
 pub use build::{build_index, BuildConfig, BuildStats, KbsStrategy};
-pub use cache::{CacheStats, PlanCache, PlanCacheConfig, PrepareOutcome};
+pub use cache::{CacheStats, PlanCache, PlanCacheConfig};
 pub use catalog::{MrCatalog, MrId};
 pub use engine::{
     ArtifactTag, BlockIndex, Generation, HybridEngine, IndexEngine, PlanIdentity, PrepareCounting,

@@ -18,7 +18,7 @@
 //!    product-graph search;
 //! 4. answers are scattered back in submission order.
 
-use crate::cache::{PlanCache, PrepareOutcome};
+use crate::cache::PlanCache;
 use crate::engine::{Prepared, ReachabilityEngine};
 use crate::query::{Constraint, Query, QueryError};
 use rayon::prelude::*;
@@ -202,35 +202,26 @@ impl<'q> BatchPlan<'q> {
     /// query, produced by the engine's
     /// [`ReachabilityEngine::explain_prepared`].
     ///
-    /// This is a diagnosis path, not a throughput path: queries evaluate
-    /// sequentially so each trace reflects one uncontended evaluation. The
-    /// answers are the contract: they are identical — including errors —
-    /// to [`BatchPlan::execute`] (or [`BatchPlan::execute_cached`] when
-    /// `cache` is `Some`, whose hit/coalesced outcome is recorded on each
-    /// query node).
+    /// This is a diagnosis path, not a throughput path: each group's
+    /// constraint is prepared once, as in [`BatchPlan::execute`], and the
+    /// queries evaluate sequentially so each trace reflects one uncontended
+    /// evaluation. The answers are the contract: they are identical —
+    /// including errors — to [`BatchPlan::execute`].
     pub fn execute_explained(
         &self,
         engine: &dyn ReachabilityEngine,
-        cache: Option<&PlanCache>,
     ) -> (Vec<Result<bool, QueryError>>, TraceNode) {
         let mut root = TraceNode::new("batch");
         root.attr("engine", engine.name())
             .attr("queries", self.query_count())
             .attr("groups", self.groups.len());
 
-        // Phase 1: prepare each group once, through the cache when given.
-        type ExplainedPrepare = (Result<Arc<Prepared>, QueryError>, Option<PrepareOutcome>);
+        // Phase 1: prepare each group once.
         let prepare_started = Instant::now();
-        let prepared: Vec<ExplainedPrepare> = self
+        let prepared: Vec<Result<Prepared, QueryError>> = self
             .groups
             .iter()
-            .map(|group| match cache {
-                Some(cache) => {
-                    let (plan, outcome) = cache.prepare_outcome(engine, group.constraint);
-                    (plan, Some(outcome))
-                }
-                None => (engine.prepare(group.constraint).map(Arc::new), None),
-            })
+            .map(|group| engine.prepare(group.constraint))
             .collect();
         let prepare_ns = prepare_started.elapsed().as_nanos();
 
@@ -238,7 +229,7 @@ impl<'q> BatchPlan<'q> {
         let execute_started = Instant::now();
         let mut answers: Vec<Result<bool, QueryError>> = vec![Ok(false); self.query_count()];
         let mut children: Vec<(usize, TraceNode)> = Vec::with_capacity(self.query_count());
-        for (slot, (group, (plan, outcome))) in self.groups.iter().zip(&prepared).enumerate() {
+        for (slot, (group, plan)) in self.groups.iter().zip(&prepared).enumerate() {
             for at in group.start..group.end {
                 let index = self.positions[at] as usize;
                 let (source, target) = self.pairs[at];
@@ -256,11 +247,6 @@ impl<'q> BatchPlan<'q> {
                 node.attr("batch_index", index)
                     .attr("group", slot)
                     .attr("group_size", group.end - group.start);
-                if let Some(outcome) = outcome {
-                    node.attr("cache_hit", outcome.hit)
-                        .attr("cache_coalesced", outcome.coalesced)
-                        .attr("cache_stale_drop", outcome.stale_drop);
-                }
                 answers[index] = answer;
                 children.push((index, node));
             }

@@ -5,9 +5,8 @@
 //! dedicated batcher thread wakes on the first arrival, sleeps for the
 //! configured window ([`crate::ServeConfig::batch_window`]) so concurrent
 //! requests pile on, then takes the whole list and executes it as **one**
-//! [`BatchPlan`] through [`BatchPlan::execute_cached`] — so concurrent
-//! same-constraint requests prepare once (or hit the shared
-//! [`PlanCache`]), and grouped traversals are shared exactly as they are
+//! [`BatchPlan`] through `execute_batch` — so concurrent same-constraint
+//! requests prepare once and share grouped traversals, exactly as they do
 //! for explicit `POST /batch` requests.
 //!
 //! Every batch snapshots the [`crate::IndexSlot`] once; all its answers are
@@ -22,8 +21,8 @@
 use crate::lock_recover;
 use crate::metrics::{Counter, ServerMetrics};
 use crate::obs::ServeObs;
-use crate::swap::IndexSlot;
-use rlc_core::{BatchPlan, PlanCache, Query, QueryError};
+use crate::swap::{Epoch, IndexSlot};
+use rlc_core::{BatchPlan, Query, QueryError};
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -119,13 +118,12 @@ pub struct MicroBatcher {
 }
 
 impl MicroBatcher {
-    /// Spawns the batcher thread. Batches snapshot `slot`, execute against
-    /// `cache`, and account into `metrics` and `obs` (window/execute
-    /// latency; sampled batches leave EXPLAIN traces in the journal).
+    /// Spawns the batcher thread. Batches snapshot `slot` and account into
+    /// `metrics` and `obs` (window/execute latency; sampled batches leave
+    /// EXPLAIN traces in the journal).
     pub fn start(
         window: Duration,
         slot: Arc<IndexSlot>,
-        cache: Arc<PlanCache>,
         metrics: Arc<ServerMetrics>,
         obs: Arc<ServeObs>,
     ) -> io::Result<(MicroBatcher, BatcherClient)> {
@@ -138,7 +136,7 @@ impl MicroBatcher {
             let state = Arc::clone(&state);
             std::thread::Builder::new()
                 .name("rlc-serve-batcher".to_owned())
-                .spawn(move || batcher_loop(&state, window, &slot, &cache, &metrics, &obs))?
+                .spawn(move || batcher_loop(&state, window, &slot, &metrics, &obs))?
         };
         let client = BatcherClient {
             state: Arc::clone(&state),
@@ -170,7 +168,6 @@ fn batcher_loop(
     state: &BatcherState,
     window: Duration,
     slot: &IndexSlot,
-    cache: &PlanCache,
     metrics: &ServerMetrics,
     obs: &ServeObs,
 ) {
@@ -204,32 +201,45 @@ fn batcher_loop(
         }
         obs.record_batch_window(window_started.elapsed());
         // Phase 3: one epoch snapshot, one BatchPlan, one generation stamp
-        // for every answer in the batch. A sampled batch executes through
-        // the EXPLAIN path — identical answers (the differential harness
-        // asserts it), plus a plan trace for the journal.
+        // for every answer in the batch.
         let epoch = slot.snapshot();
         let generation = epoch.generation().value();
         let queries: Vec<Query> = batch.iter().map(|p| p.query.clone()).collect();
-        let execute_started = Instant::now();
-        let answers = if obs.should_explain() {
-            let (answers, mut trace) = epoch.with_engine(|engine| {
-                BatchPlan::new(&queries).execute_explained(engine, Some(cache))
-            });
-            trace
-                .attr("origin", "microbatch")
-                .attr("generation", generation);
-            obs.push_trace(trace);
-            answers
-        } else {
-            epoch.with_engine(|engine| BatchPlan::new(&queries).execute_cached(engine, cache))
-        };
-        obs.record_execute(execute_started.elapsed());
+        let answers = execute_batch(obs, &epoch, &queries, "microbatch");
         metrics.bump(Counter::Microbatches);
         metrics.add(Counter::MicrobatchedQueries, batch.len() as u64);
         for (pending, answer) in batch.into_iter().zip(answers) {
             pending.slot.fulfill(BatchAnswer { answer, generation });
         }
     }
+}
+
+/// Executes `queries` as one [`BatchPlan`] on `epoch` and records the
+/// execute latency. A batch `obs` samples for EXPLAIN runs through
+/// [`BatchPlan::execute_explained`] — identical answers (the differential
+/// harness asserts it), plus a plan trace journaled with `origin` and the
+/// epoch's generation; every other batch runs through
+/// [`BatchPlan::execute`].
+pub(crate) fn execute_batch(
+    obs: &ServeObs,
+    epoch: &Epoch,
+    queries: &[Query],
+    origin: &str,
+) -> Vec<Result<bool, QueryError>> {
+    let started = Instant::now();
+    let plan = BatchPlan::new(queries);
+    let answers = if obs.should_explain() {
+        let (answers, mut trace) = epoch.with_engine(|engine| plan.execute_explained(engine));
+        trace
+            .attr("origin", origin)
+            .attr("generation", epoch.generation().value());
+        obs.push_trace(trace);
+        answers
+    } else {
+        epoch.with_engine(|engine| plan.execute(engine))
+    };
+    obs.record_execute(started.elapsed());
+    answers
 }
 
 #[cfg(test)]
@@ -259,12 +269,10 @@ mod tests {
     #[test]
     fn concurrent_submissions_coalesce_and_answer_correctly() {
         let (graph, slot) = serving_slot(2);
-        let cache = Arc::new(PlanCache::new());
         let metrics = Arc::new(ServerMetrics::new());
         let (batcher, client) = MicroBatcher::start(
             Duration::from_millis(5),
             Arc::clone(&slot),
-            Arc::clone(&cache),
             Arc::clone(&metrics),
             quiet_obs(),
         )
@@ -292,9 +300,6 @@ mod tests {
                 assert_eq!(got.generation, generation);
             }
         });
-        // All twelve queries share one constraint: however many batches the
-        // scheduler produced, the cache compiled the plan exactly once.
-        assert_eq!(cache.stats().misses, 1);
         assert!(metrics.get(Counter::Microbatches) >= 1);
         assert_eq!(metrics.get(Counter::MicrobatchedQueries), 12);
         assert!(
@@ -308,10 +313,9 @@ mod tests {
     #[test]
     fn rejections_flow_back_as_answers_not_panics() {
         let (_graph, slot) = serving_slot(2);
-        let cache = Arc::new(PlanCache::new());
         let metrics = Arc::new(ServerMetrics::new());
         let (batcher, client) =
-            MicroBatcher::start(Duration::ZERO, slot, cache, metrics, quiet_obs()).unwrap();
+            MicroBatcher::start(Duration::ZERO, slot, metrics, quiet_obs()).unwrap();
         // Block of length 3 against k = 2: a deterministic rejection.
         let constraint = Constraint::new(vec![vec![Label(0), Label(1), Label(2)]]).unwrap();
         let answer = client
@@ -327,17 +331,11 @@ mod tests {
     #[test]
     fn sampled_batches_leave_traces_with_identical_answers() {
         let (_graph, slot) = serving_slot(2);
-        let cache = Arc::new(PlanCache::new());
         let metrics = Arc::new(ServerMetrics::new());
         let obs = Arc::new(ServeObs::new(8, 1)); // trace every batch
-        let (batcher, client) = MicroBatcher::start(
-            Duration::ZERO,
-            Arc::clone(&slot),
-            Arc::clone(&cache),
-            metrics,
-            Arc::clone(&obs),
-        )
-        .unwrap();
+        let (batcher, client) =
+            MicroBatcher::start(Duration::ZERO, Arc::clone(&slot), metrics, Arc::clone(&obs))
+                .unwrap();
         let query = Query::rlc(0, 5, vec![Label(1)]).unwrap();
         let expected = slot
             .snapshot()
@@ -354,20 +352,20 @@ mod tests {
             traces[0].find_attr("generation"),
             Some(format!("{}", slot.generation_value()).as_str())
         );
-        assert!(
-            traces[0].find_attr_deep("cache_hit").is_some(),
-            "per-query nodes carry the cache decision"
-        );
+        for key in ["group", "group_size", "batch_index"] {
+            assert!(
+                traces[0].find_attr_deep(key).is_some(),
+                "per-query nodes carry {key}"
+            );
+        }
     }
 
     #[test]
     fn a_passed_deadline_returns_none_immediately() {
         let (_graph, slot) = serving_slot(2);
-        let cache = Arc::new(PlanCache::new());
         let metrics = Arc::new(ServerMetrics::new());
         let (batcher, client) =
-            MicroBatcher::start(Duration::from_millis(1), slot, cache, metrics, quiet_obs())
-                .unwrap();
+            MicroBatcher::start(Duration::from_millis(1), slot, metrics, quiet_obs()).unwrap();
         let query = Query::rlc(0, 5, vec![Label(1)]).unwrap();
         // A deadline already in the past: the submitter must not hang on
         // the window, it answers None (→ 504) right away.
@@ -381,12 +379,10 @@ mod tests {
     #[test]
     fn shutdown_drains_pending_queries() {
         let (_graph, slot) = serving_slot(2);
-        let cache = Arc::new(PlanCache::new());
         let metrics = Arc::new(ServerMetrics::new());
         let (batcher, client) = MicroBatcher::start(
             Duration::from_millis(50),
             slot,
-            cache,
             Arc::clone(&metrics),
             quiet_obs(),
         )

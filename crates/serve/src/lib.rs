@@ -16,7 +16,7 @@
 //!                       (allocation-free shed)      micro-batcher
 //!                                                        │ window ≤ batch_window
 //!                                                        ▼
-//!                                       BatchPlan::execute_cached(engine, PlanCache)
+//!                                       BatchPlan::execute(engine)
 //!                                                        ▲
 //!                                  IndexSlot (epoch swap, generation stamps)
 //! ```
@@ -28,18 +28,16 @@
 //!   deadline are answered `504`.
 //! * **Micro-batching** ([`batcher`]): single queries rendezvous for up to
 //!   [`ServeConfig::batch_window`] and execute as one
-//!   [`rlc_core::BatchPlan`] against the shared [`rlc_core::PlanCache`] —
-//!   concurrent same-constraint requests prepare once and share grouped
-//!   traversals.
+//!   [`rlc_core::BatchPlan`] — concurrent same-constraint requests prepare
+//!   once and share grouped traversals.
 //! * **Hot swap** ([`swap`]): the serving index lives in an [`IndexSlot`]
 //!   epoch slot. `POST /admin/reload` loads an `RLC3`/`RSH1` blob and swaps
 //!   it in; in-flight batches finish on the epoch they snapshotted, and
 //!   every response carries the generation stamp it was answered under, so
 //!   clients (and the e2e tests) can prove no stale answer crossed a swap.
 //! * **Observability** ([`metrics`], [`obs`]): `GET /metrics` serves a
-//!   `# TYPE`-annotated exposition — server counters, the cache's
-//!   lock-free [`rlc_core::CacheStats`] snapshot, index-footprint and
-//!   kernel-lane gauges, latency histograms with cumulative buckets, and
+//!   `# TYPE`-annotated exposition — server counters, index-footprint
+//!   and queue gauges, latency histograms with cumulative buckets, and
 //!   the engine-side span families from the global [`rlc_obs`] registry.
 //!   Sampled batches execute through the EXPLAIN path and their plan
 //!   traces are served as JSON by `GET /admin/explain?last=N`.

@@ -20,14 +20,14 @@
 //! `504`. In `/batch` answers, per-query rejections appear in-place as
 //! `{"error":"…"}` so one bad query cannot fail its neighbors.
 
-use crate::batcher::{BatcherClient, MicroBatcher};
+use crate::batcher::{self, BatcherClient, MicroBatcher};
 use crate::http::{self, HttpError, HttpLimits, HttpRequest};
 use crate::metrics::{Counter, ServerMetrics};
 use crate::obs::{Route, ServeObs};
 use crate::pool::WorkerPool;
 use crate::swap::{Epoch, IndexSlot};
 use crate::ServeConfig;
-use rlc_core::{BatchPlan, PlanCache, Query};
+use rlc_core::Query;
 use serde::{Deserialize, Serialize, Value};
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
@@ -40,7 +40,6 @@ use std::time::Instant;
 struct Ctx {
     config: ServeConfig,
     slot: Arc<IndexSlot>,
-    cache: Arc<PlanCache>,
     metrics: Arc<ServerMetrics>,
     obs: Arc<ServeObs>,
     batcher: BatcherClient,
@@ -55,28 +54,14 @@ pub struct Server {
     pool: Option<WorkerPool>,
     batcher: Option<MicroBatcher>,
     slot: Arc<IndexSlot>,
-    cache: Arc<PlanCache>,
     metrics: Arc<ServerMetrics>,
     obs: Arc<ServeObs>,
 }
 
 impl Server {
-    /// Boots a server for `epoch` with a fresh [`PlanCache`].
+    /// Boots a server for `epoch` on `config.port` of loopback.
     pub fn start(config: ServeConfig, epoch: Epoch) -> io::Result<Server> {
-        Server::start_with(
-            config,
-            Arc::new(IndexSlot::new(epoch)),
-            Arc::new(PlanCache::new()),
-        )
-    }
-
-    /// Boots a server over an existing slot and cache (shared observability
-    /// or pre-warmed plans).
-    pub fn start_with(
-        config: ServeConfig,
-        slot: Arc<IndexSlot>,
-        cache: Arc<PlanCache>,
-    ) -> io::Result<Server> {
+        let slot = Arc::new(IndexSlot::new(epoch));
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, config.port))?;
         let addr = listener.local_addr()?;
         let metrics = Arc::new(ServerMetrics::new());
@@ -91,14 +76,12 @@ impl Server {
         let (batcher, batcher_client) = MicroBatcher::start(
             config.batch_window,
             Arc::clone(&slot),
-            Arc::clone(&cache),
             Arc::clone(&metrics),
             Arc::clone(&obs),
         )?;
         let ctx = Arc::new(Ctx {
             config,
             slot: Arc::clone(&slot),
-            cache: Arc::clone(&cache),
             metrics: Arc::clone(&metrics),
             obs: Arc::clone(&obs),
             batcher: batcher_client,
@@ -140,7 +123,6 @@ impl Server {
             pool: Some(pool),
             batcher: Some(batcher),
             slot,
-            cache,
             metrics,
             obs,
         })
@@ -154,11 +136,6 @@ impl Server {
     /// The server's counters (shared with the serving threads).
     pub fn metrics(&self) -> &Arc<ServerMetrics> {
         &self.metrics
-    }
-
-    /// The shared plan cache.
-    pub fn cache(&self) -> &Arc<PlanCache> {
-        &self.cache
     }
 
     /// The server's observability block (histograms + EXPLAIN journal).
@@ -331,12 +308,9 @@ fn handle_connection(ctx: &Ctx, mut stream: TcpStream, enqueued: Instant) {
         }
         ("GET", "/metrics") => {
             let epoch = ctx.slot.snapshot();
-            let text = ctx.obs.render_metrics(
-                &ctx.metrics,
-                ctx.cache.counters(),
-                ctx.slot.generation_value(),
-                &epoch,
-            );
+            let text = ctx
+                .obs
+                .render_metrics(&ctx.metrics, ctx.slot.generation_value(), &epoch);
             ctx.metrics.bump(Counter::Ok200);
             let _ = http::write_response(&mut stream, 200, "OK", "text/plain", text.as_bytes());
         }
@@ -472,22 +446,7 @@ fn handle_batch(ctx: &Ctx, stream: &mut TcpStream, request: &HttpRequest, deadli
     }
     let epoch = ctx.slot.snapshot();
     let generation = epoch.generation().value();
-    let execute_started = Instant::now();
-    let answers = if ctx.obs.should_explain() {
-        // The sampled EXPLAIN path: identical answers plus a plan trace
-        // for the journal (the differential harness proves the identity).
-        let (answers, mut trace) = epoch.with_engine(|engine| {
-            BatchPlan::new(&queries).execute_explained(engine, Some(ctx.cache.as_ref()))
-        });
-        trace.attr("origin", "batch").attr("generation", generation);
-        ctx.obs.push_trace(trace);
-        answers
-    } else {
-        epoch.with_engine(|engine| {
-            BatchPlan::new(&queries).execute_cached(engine, ctx.cache.as_ref())
-        })
-    };
-    ctx.obs.record_execute(execute_started.elapsed());
+    let answers = batcher::execute_batch(&ctx.obs, &epoch, &queries, "batch");
     let rendered: Vec<Value> = answers
         .into_iter()
         .map(|answer| match answer {

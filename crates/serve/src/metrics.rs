@@ -1,19 +1,18 @@
 //! Server counters and the `GET /metrics` text exposition.
 //!
-//! Counters follow the cache's discipline: monotonic `AtomicU64`s bumped
-//! with relaxed ordering (no memory is published through them) and read
+//! Counters are monotonic `AtomicU64`s bumped with relaxed ordering (no memory is published through them) and read
 //! observationally. The queue-depth pair is the one gauge: `queue_depth`
 //! tracks jobs currently admitted-but-unfinished and `queue_depth_max`
 //! records its high-water mark — the bench harness asserts the high-water
 //! mark stays within the configured bound to prove shedding (not queue
 //! growth) absorbs overload.
 
-use rlc_core::CacheStats;
 use rlc_obs::expo;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Names of the monotonic server counters (the queue gauges are managed by
 /// [`ServerMetrics::queue_enter`]/[`ServerMetrics::queue_leave`] instead).
+/// A counter's discriminant is its cell index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
     /// Connections accepted off the listener.
@@ -52,7 +51,7 @@ pub enum Counter {
     ReloadFailures,
 }
 
-/// All counters, in exposition order.
+/// All counters, in discriminant order (which is also exposition order).
 const ALL: [(Counter, &str); 16] = [
     (Counter::Accepted, "rlc_serve_accepted_total"),
     (Counter::Ok200, "rlc_serve_ok_total"),
@@ -96,13 +95,7 @@ impl ServerMetrics {
     }
 
     fn cell(&self, which: Counter) -> &AtomicU64 {
-        // Position of `which` in the exposition table; the table is the
-        // single source of truth for both rendering and storage layout.
-        let idx = ALL
-            .iter()
-            .position(|(c, _)| *c == which)
-            .unwrap_or_default();
-        &self.counters[idx]
+        &self.counters[which as usize]
     }
 
     /// Increments `which` by one.
@@ -157,12 +150,12 @@ impl ServerMetrics {
         self.queue_depth_max.load(Ordering::Relaxed)
     }
 
-    /// Appends the server-counter and plan-cache families to an exposition
+    /// Appends the server-counter and gauge families to an exposition
     /// document: a `# TYPE` declaration per family followed by its sample.
     /// The full `GET /metrics` document — these families plus the index
     /// gauges and latency histograms — is assembled by
     /// [`crate::obs::ServeObs::render_metrics`].
-    pub fn write_exposition(&self, out: &mut String, cache: CacheStats, generation: u64) {
+    pub fn write_exposition(&self, out: &mut String, generation: u64) {
         for (counter, name) in ALL {
             expo::write_type(out, name, "counter");
             expo::write_sample(out, name, &[], self.get(counter));
@@ -176,31 +169,19 @@ impl ServerMetrics {
             expo::write_type(out, name, "gauge");
             expo::write_sample(out, name, &[], value);
         }
-        let cache_counters = [
-            ("plan_cache_hits_total", cache.hits),
-            ("plan_cache_misses_total", cache.misses),
-            ("plan_cache_evictions_total", cache.evictions),
-            ("plan_cache_stale_drops_total", cache.stale_drops),
-            ("plan_cache_coalesced_total", cache.coalesced),
-        ];
-        for (name, value) in cache_counters {
-            expo::write_type(out, name, "counter");
-            expo::write_sample(out, name, &[], value);
-        }
-        let cache_gauges = [
-            ("plan_cache_entries", cache.entries),
-            ("plan_cache_bytes", cache.bytes),
-        ];
-        for (name, value) in cache_gauges {
-            expo::write_type(out, name, "gauge");
-            expo::write_sample(out, name, &[], value);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_table_is_in_discriminant_order() {
+        for (i, (counter, _)) in ALL.iter().enumerate() {
+            assert_eq!(*counter as usize, i, "{counter:?} is out of place");
+        }
+    }
 
     #[test]
     fn every_counter_has_its_own_cell() {
@@ -251,14 +232,13 @@ mod tests {
         let metrics = ServerMetrics::new();
         metrics.bump(Counter::Accepted);
         let mut text = String::new();
-        metrics.write_exposition(&mut text, CacheStats::default(), 42);
+        metrics.write_exposition(&mut text, 42);
         let expo = rlc_obs::expo::parse(&text).expect("counter families validate");
         assert_eq!(expo.value("rlc_serve_accepted_total"), Some(1.0));
         assert_eq!(expo.value("rlc_serve_generation"), Some(42.0));
-        assert_eq!(expo.value("plan_cache_hits_total"), Some(0.0));
-        // One family per counter, the three server gauges, and the seven
-        // plan-cache series — all declared, none twice (parse enforces it).
-        assert_eq!(expo.families.len(), ALL.len() + 3 + 7);
+        // One family per counter and the three server gauges — all
+        // declared, none twice (parse enforces it).
+        assert_eq!(expo.families.len(), ALL.len() + 3);
         assert_eq!(expo.samples.len(), expo.families.len());
     }
 }

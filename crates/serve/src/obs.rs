@@ -7,7 +7,7 @@
 //! [`rlc_obs::Registry`] is still rendered into the exposition: the
 //! engine-side span families (`rlc_plan_*`) and stitch
 //! counters (`rlc_stitch_*`) land there, and their names are disjoint
-//! from the `rlc_serve_*`/`plan_cache_*` families by convention.
+//! from the `rlc_serve_*` families by convention.
 //!
 //! The EXPLAIN journal is fed by sampled batches: every
 //! [`crate::ServeConfig::explain_sample`]-th micro-batch (and explicit
@@ -18,13 +18,13 @@
 
 use crate::metrics::ServerMetrics;
 use crate::swap::Epoch;
-use rlc_core::CacheStats;
 use rlc_obs::{expo, Histogram, TraceJournal, TraceNode};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Route families of the per-request latency histogram.
+/// Route families of the per-request latency histogram. A route's
+/// discriminant is its series index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// `POST /query`.
@@ -116,13 +116,7 @@ impl ServeObs {
 
     /// Records one request's end-to-end latency under its route.
     pub fn record_request(&self, route: Route, elapsed: Duration) {
-        let idx = match route {
-            Route::Query => 0,
-            Route::Batch => 1,
-            Route::Admin => 2,
-            Route::Other => 3,
-        };
-        self.requests[idx].record_duration(elapsed);
+        self.requests[route as usize].record_duration(elapsed);
     }
 
     /// Records the listener-to-worker queue wait.
@@ -150,20 +144,18 @@ impl ServeObs {
         self.write.record_duration(elapsed);
     }
 
-    /// The full `GET /metrics` document: server counters and plan-cache
-    /// series ([`ServerMetrics::write_exposition`]), index-footprint gauges
-    /// for `epoch`, the serve latency histograms, and
-    /// every series of the global registry (engine-side spans and stitch
-    /// counters).
+    /// The full `GET /metrics` document: server counters and gauges
+    /// ([`ServerMetrics::write_exposition`]), index-footprint gauges for
+    /// `epoch`, the serve latency histograms, and every series of the
+    /// global registry (engine-side spans and stitch counters).
     pub fn render_metrics(
         &self,
         metrics: &ServerMetrics,
-        cache: CacheStats,
         generation: u64,
         epoch: &Epoch,
     ) -> String {
         let mut out = String::with_capacity(8 << 10);
-        metrics.write_exposition(&mut out, cache, generation);
+        metrics.write_exposition(&mut out, generation);
 
         expo::write_type(&mut out, "rlc_serve_index_bytes", "gauge");
         expo::write_sample(
@@ -179,17 +171,11 @@ impl ServeObs {
 
         expo::write_type(&mut out, "rlc_serve_request_seconds", "histogram");
         for route in [Route::Query, Route::Batch, Route::Admin, Route::Other] {
-            let idx = match route {
-                Route::Query => 0,
-                Route::Batch => 1,
-                Route::Admin => 2,
-                Route::Other => 3,
-            };
             expo::write_histogram(
                 &mut out,
                 "rlc_serve_request_seconds",
                 &[("route", route.label())],
-                &self.requests[idx].snapshot(),
+                &self.requests[route as usize].snapshot(),
             );
         }
         let phases = [

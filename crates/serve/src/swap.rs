@@ -5,9 +5,9 @@
 //! [`Generation`] stamp. The [`IndexSlot`] holds the current epoch behind
 //! an `Arc`; readers take an O(1) snapshot and keep answering on it even
 //! while `POST /admin/reload` swaps a new epoch in, so a reload never
-//! drops or blocks an in-flight batch. The [`rlc_core::PlanCache`] needs
-//! no flush on swap: cached plans carry the old generation in their
-//! [`rlc_core::PlanIdentity`] and are dropped as stale on first touch.
+//! drops or blocks an in-flight batch. Every batch prepares its
+//! constraints on the epoch it snapshotted, so a swap leaves no prepared
+//! plan behind to flush.
 //!
 //! The slot is a `Mutex<Arc<Epoch>>` with lock-held sections of a clone or
 //! a pointer store — `ArcSwap` semantics without the lock-free pointer

@@ -479,10 +479,10 @@ fn engine_differential_holds_with_tracing_enabled() {
     // counters flushing, phase histograms recording — the explained
     // evaluation paths (`BatchPlan::execute_explained`, per-query
     // `explain_prepared`) must return exactly the plain results for every
-    // engine: same answers AND same errors, cached and uncached. And the
-    // traces must be real, not decorative: the batch trace carries one child
-    // per query with the cache-hit flag, and the sharded engine's per-query
-    // trace names its route.
+    // engine: same answers AND same errors. And the traces must be real, not
+    // decorative: the batch trace carries one child per query with its
+    // constraint group, and the sharded engine's per-query trace names its
+    // route.
     let _globals = lock_process_globals();
     let graph = erdos_renyi(&SyntheticConfig::new(60, 3.0, 3, 63));
     let (index, _) = build_index(&graph, &BuildConfig::new(2));
@@ -493,16 +493,15 @@ fn engine_differential_holds_with_tracing_enabled() {
 
     let queries = mixed_batch(&graph);
     let plan = BatchPlan::new(&queries);
-    let cache = PlanCache::new();
 
     let was_enabled = rlc::obs::global_enabled();
     rlc::obs::set_global_enabled(true);
     for engine in &engines {
         let expected = plan.execute(engine.as_ref());
 
-        // Explained, uncached: identical result vector, one trace child per
-        // query, every child stamped with its cache disposition.
-        let (explained, trace) = plan.execute_explained(engine.as_ref(), None);
+        // Explained: identical result vector, one trace child per query,
+        // every child stamped with its constraint group.
+        let (explained, trace) = plan.execute_explained(engine.as_ref());
         assert_eq!(
             explained,
             expected,
@@ -524,37 +523,6 @@ fn engine_differential_holds_with_tracing_enabled() {
             "{}: every per-query trace names its constraint group",
             engine.name()
         );
-
-        // Explained, cached, twice: same answers both rounds, every child
-        // stamped with its cache disposition, and the second round's trace
-        // reports hits.
-        for round in 0..2 {
-            let (cached, trace) = plan.execute_explained(engine.as_ref(), Some(&cache));
-            assert_eq!(
-                cached,
-                expected,
-                "{}: explained cached round {round} != plain batch",
-                engine.name()
-            );
-            assert!(
-                trace
-                    .children()
-                    .iter()
-                    .all(|child| child.find_attr("cache_hit").is_some()),
-                "{}: every cached per-query trace carries the cache-hit flag",
-                engine.name()
-            );
-            if round > 0 {
-                assert!(
-                    trace
-                        .children()
-                        .iter()
-                        .any(|child| child.find_attr("cache_hit") == Some("true")),
-                    "{}: the repeat round must trace cache hits",
-                    engine.name()
-                );
-            }
-        }
 
         // Per-query explained evaluation matches one-shot, errors included.
         for query in &queries {
